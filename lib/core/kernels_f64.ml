@@ -36,32 +36,37 @@ module Phases = struct
       unsafe_set buf (base + j) (unsafe_get tmp j)
     done
 
-  let row_shuffle_gather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
+  (* The row passes: each row's indices come from the {!Plan.walk}
+     generator into [idx] (d'_inv for the gather, d' for the ungather and
+     the scatter), so the movers below only move. Row [i] of the matrix
+     sits at [(i - row0) * n] in [buf]: in-RAM callers pass [row0 = 0];
+     the out-of-core engine passes a window's first row, so the maps see
+     the global row while [buf] holds only the window. *)
+  let gather_rows ~inverse (p : Plan.t) (buf : buf) ~(tmp : buf) ~idx ~row0
+      ~lo ~hi =
     let n = p.n in
+    let w = Plan.walk p ~row:lo in
     for i = lo to hi - 1 do
-      let base = i * n in
+      if inverse then Plan.walk_d'_inv w idx else Plan.walk_d' w idx;
+      let base = (i - row0) * n in
       for j = 0 to n - 1 do
-        unsafe_set tmp j (unsafe_get buf (base + Plan.d'_inv p ~i j))
+        unsafe_set tmp j (unsafe_get buf (base + Array.unsafe_get idx j))
       done;
       writeback_row buf ~tmp ~base ~n
     done
 
-  let row_shuffle_scatter (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
-    let n = p.n in
-    for i = lo to hi - 1 do
-      let base = i * n in
-      for j = 0 to n - 1 do
-        unsafe_set tmp (Plan.d' p ~i j) (unsafe_get buf (base + j))
-      done;
-      writeback_row buf ~tmp ~base ~n
-    done
+  let row_shuffle_gather = gather_rows ~inverse:true
+  let row_shuffle_ungather = gather_rows ~inverse:false
 
-  let row_shuffle_ungather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
+  let row_shuffle_scatter (p : Plan.t) (buf : buf) ~(tmp : buf) ~idx ~row0 ~lo
+      ~hi =
     let n = p.n in
+    let w = Plan.walk p ~row:lo in
     for i = lo to hi - 1 do
-      let base = i * n in
+      Plan.walk_d' w idx;
+      let base = (i - row0) * n in
       for j = 0 to n - 1 do
-        unsafe_set tmp j (unsafe_get buf (base + Plan.d' p ~i j))
+        unsafe_set tmp (Array.unsafe_get idx j) (unsafe_get buf (base + j))
       done;
       writeback_row buf ~tmp ~base ~n
     done
@@ -107,13 +112,23 @@ let obs_pass (p : Plan.t) name ~pred f =
   Xpose_obs.Tracer.pass ~name ~rows:p.m ~cols:p.n ~pred_touches:pred
     ~scratch_elems:(Plan.scratch_elements p) f
 
+type row_pass =
+  Plan.t ->
+  buf ->
+  tmp:buf ->
+  idx:int array ->
+  row0:int ->
+  lo:int ->
+  hi:int ->
+  unit
+
 module type PHASES = sig
   val rotate_columns :
     Plan.t -> buf -> tmp:buf -> amount:(int -> int) -> lo:int -> hi:int -> unit
 
-  val row_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val row_shuffle_scatter : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val row_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
+  val row_shuffle_gather : row_pass
+  val row_shuffle_scatter : row_pass
+  val row_shuffle_ungather : row_pass
   val col_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
   val col_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
 
@@ -122,12 +137,30 @@ module type PHASES = sig
 end
 
 module type ENGINE = sig
-  val c2r : ?variant:Algo.c2r_variant -> Plan.t -> buf -> tmp:buf -> unit
-  val r2c : ?variant:Algo.r2c_variant -> Plan.t -> buf -> tmp:buf -> unit
+  val c2r :
+    ?variant:Algo.c2r_variant ->
+    ?idx:int array ->
+    Plan.t ->
+    buf ->
+    tmp:buf ->
+    unit
+
+  val r2c :
+    ?variant:Algo.r2c_variant ->
+    ?idx:int array ->
+    Plan.t ->
+    buf ->
+    tmp:buf ->
+    unit
 
   val transpose :
     ?ws:Workspace.F64.t -> ?order:Layout.order -> m:int -> n:int -> buf -> unit
 end
+
+(* The walk's index row: the caller's, or one per call. *)
+let row_idx (p : Plan.t) = function
+  | Some idx -> idx
+  | None -> Array.make p.n 0
 
 (* The engine orchestration (pass order, variant dispatch, observability)
    is written once and instantiated with both the raw and the checked
@@ -135,11 +168,12 @@ end
    but only one per *pass* — never per element — so the raw instantiation
    keeps its specialized speed. *)
 module Engine_of (P : PHASES) = struct
-  let c2r ?(variant = Algo.C2r_gather) (p : Plan.t) buf ~tmp =
+  let c2r ?(variant = Algo.C2r_gather) ?idx (p : Plan.t) buf ~tmp =
     check_args p buf ~tmp;
     let m = p.m and n = p.n in
     if m = 1 || n = 1 then ()
     else begin
+      let idx = row_idx p idx in
       if not (Plan.coprime p) then begin
         let amount = Plan.rotate_amount p in
         obs_pass p "rotate_pre" ~pred:(Pass_cost.rotate p ~amount) (fun () ->
@@ -148,10 +182,10 @@ module Engine_of (P : PHASES) = struct
       (match variant with
       | Algo.C2r_scatter ->
           obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-              P.row_shuffle_scatter p buf ~tmp ~lo:0 ~hi:m)
+              P.row_shuffle_scatter p buf ~tmp ~idx ~row0:0 ~lo:0 ~hi:m)
       | Algo.C2r_gather | Algo.C2r_decomposed ->
           obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-              P.row_shuffle_gather p buf ~tmp ~lo:0 ~hi:m));
+              P.row_shuffle_gather p buf ~tmp ~idx ~row0:0 ~lo:0 ~hi:m));
       match variant with
       | Algo.C2r_scatter | Algo.C2r_gather ->
           obs_pass p "col_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
@@ -164,11 +198,12 @@ module Engine_of (P : PHASES) = struct
               P.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo:0 ~hi:n)
     end
 
-  let r2c ?(variant = Algo.R2c_fused) (p : Plan.t) buf ~tmp =
+  let r2c ?(variant = Algo.R2c_fused) ?idx (p : Plan.t) buf ~tmp =
     check_args p buf ~tmp;
     let m = p.m and n = p.n in
     if m = 1 || n = 1 then ()
     else begin
+      let idx = row_idx p idx in
       (match variant with
       | Algo.R2c_fused ->
           obs_pass p "col_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
@@ -181,7 +216,7 @@ module Engine_of (P : PHASES) = struct
           obs_pass p "col_unrotate" ~pred:(Pass_cost.rotate p ~amount)
             (fun () -> P.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n));
       obs_pass p "row_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-          P.row_shuffle_ungather p buf ~tmp ~lo:0 ~hi:m);
+          P.row_shuffle_ungather p buf ~tmp ~idx ~row0:0 ~lo:0 ~hi:m);
       if not (Plan.coprime p) then begin
         let amount j = -Plan.rotate_amount p j in
         obs_pass p "rotate_post" ~pred:(Pass_cost.rotate p ~amount) (fun () ->
@@ -193,16 +228,18 @@ module Engine_of (P : PHASES) = struct
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
-    (* Batch callers pass a workspace so the Theorem-6 scratch is allocated
-       once per worker instead of once per matrix. *)
-    let tmp =
+    (* Batch callers pass a workspace so the Theorem-6 scratch and the
+       walk's index row are allocated once per worker instead of once per
+       matrix. *)
+    let len = max rm rn in
+    let tmp, idx =
       match ws with
-      | Some ws -> Workspace.F64.tmp ws (max rm rn)
+      | Some ws -> (Workspace.F64.tmp ws len, Some (Workspace.F64.idx ws len))
       | None ->
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max rm rn)
+          (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len, None)
     in
-    if rm > rn then c2r (Plan.make ~m:rm ~n:rn) buf ~tmp
-    else r2c (Plan.make ~m:rn ~n:rm) buf ~tmp
+    if rm > rn then c2r ?idx (Plan.make ~m:rm ~n:rn) buf ~tmp
+    else r2c ?idx (Plan.make ~m:rn ~n:rm) buf ~tmp
 end
 
 include Engine_of (Phases)
@@ -254,38 +291,38 @@ module Checked = struct
         cset buf "row writeback" (base + j) (cget tmp "row scratch read" j)
       done
 
-    let row_shuffle_gather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
+    (* The raw movers over the same {!Plan.walk} rows, every generated
+       index range-checked before use. *)
+    let gather_rows ~inverse (p : Plan.t) (buf : buf) ~(tmp : buf) ~idx ~row0
+        ~lo ~hi =
       Checked_access.distinct ~who ~what:"row-shuffle scratch" tmp buf;
       let n = p.n in
+      let what = if inverse then "d'_inv column" else "d' column" in
+      let w = Plan.walk p ~row:lo in
       for i = lo to hi - 1 do
-        let base = i * n in
+        if inverse then Plan.walk_d'_inv w idx else Plan.walk_d' w idx;
+        let base = (i - row0) * n in
         for j = 0 to n - 1 do
-          let src = cidx "d'_inv column" ~bound:n (Plan.d'_inv p ~i j) in
+          let src = cidx what ~bound:n idx.(j) in
           cset tmp "row scratch write" j (cget buf "row read" (base + src))
         done;
         writeback_row buf ~tmp ~base ~n
       done
 
-    let row_shuffle_scatter (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
+    let row_shuffle_gather = gather_rows ~inverse:true
+    let row_shuffle_ungather = gather_rows ~inverse:false
+
+    let row_shuffle_scatter (p : Plan.t) (buf : buf) ~(tmp : buf) ~idx ~row0
+        ~lo ~hi =
       Checked_access.distinct ~who ~what:"row-shuffle scratch" tmp buf;
       let n = p.n in
+      let w = Plan.walk p ~row:lo in
       for i = lo to hi - 1 do
-        let base = i * n in
+        Plan.walk_d' w idx;
+        let base = (i - row0) * n in
         for j = 0 to n - 1 do
-          let dst = cidx "d' column" ~bound:n (Plan.d' p ~i j) in
+          let dst = cidx "d' column" ~bound:n idx.(j) in
           cset tmp "row scratch write" dst (cget buf "row read" (base + j))
-        done;
-        writeback_row buf ~tmp ~base ~n
-      done
-
-    let row_shuffle_ungather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
-      Checked_access.distinct ~who ~what:"row-shuffle scratch" tmp buf;
-      let n = p.n in
-      for i = lo to hi - 1 do
-        let base = i * n in
-        for j = 0 to n - 1 do
-          let src = cidx "d' column" ~bound:n (Plan.d' p ~i j) in
-          cset tmp "row scratch write" j (cget buf "row read" (base + src))
         done;
         writeback_row buf ~tmp ~base ~n
       done
@@ -335,7 +372,8 @@ module Checked = struct
   include Engine_of (Phases)
 end
 
-(* The specialized kernels run the same phase bodies as Algo.Make, so
-   they share its access summaries. *)
+(* The specialized kernels make the same accesses as Algo.Make -- the row
+   passes index by Plan.walk, which the tests check equal to the
+   per-element maps -- so they share its access summaries. *)
 let c2r_access = Algo.c2r_access
 let r2c_access = Algo.r2c_access

@@ -15,6 +15,24 @@
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type row_pass =
+  Plan.t ->
+  buf ->
+  tmp:buf ->
+  idx:int array ->
+  row0:int ->
+  lo:int ->
+  hi:int ->
+  unit
+(** A row pass over rows [[lo, hi)]. Row [i] of the matrix starts at
+    [(i - row0) * n] in the buffer, while the index maps are evaluated at
+    the global [i]: in-RAM callers pass [row0 = 0], the out-of-core
+    engine the first row of the mapped window. [idx] is the row of
+    {!Plan.walk} indices (at least [n] long, contents scratch); [tmp]
+    holds at least [n] elements. This is the only row-shuffle code the
+    f64 engines run: [Xpose_cpu.Fused_f64] and [Xpose_ooc.Ooc_f64] call
+    these phases. *)
+
 (** The seven permutation passes. Both the raw unsafe implementation
     ({!Phases}) and its checked twin ({!Checked.Phases}) satisfy this
     signature; {!Engine_of} builds the full engine from either. *)
@@ -22,9 +40,15 @@ module type PHASES = sig
   val rotate_columns :
     Plan.t -> buf -> tmp:buf -> amount:(int -> int) -> lo:int -> hi:int -> unit
 
-  val row_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val row_shuffle_scatter : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val row_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
+  val row_shuffle_gather : row_pass
+  (** Gather through [d'_inv] (Eq. 31). *)
+
+  val row_shuffle_scatter : row_pass
+  (** Scatter through [d'] (Eq. 24); the [C2r_scatter] variant. *)
+
+  val row_shuffle_ungather : row_pass
+  (** Gather through [d']: the R2C inverse of {!row_shuffle_gather}. *)
+
   val col_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
   val col_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
 
@@ -38,16 +62,31 @@ module Phases : PHASES
 (** The engine type shared by the raw ({!c2r} / {!r2c} / {!transpose} at
     top level) and checked ({!Checked}) instantiations. *)
 module type ENGINE = sig
-  val c2r : ?variant:Algo.c2r_variant -> Plan.t -> buf -> tmp:buf -> unit
-  (** Same contract as [Algo.Make(Storage.Float64).c2r]. *)
+  val c2r :
+    ?variant:Algo.c2r_variant ->
+    ?idx:int array ->
+    Plan.t ->
+    buf ->
+    tmp:buf ->
+    unit
+  (** Same contract as [Algo.Make(Storage.Float64).c2r]. [idx] is the
+      row passes' index row (at least [n] long); one is allocated per
+      call when it is absent. *)
 
-  val r2c : ?variant:Algo.r2c_variant -> Plan.t -> buf -> tmp:buf -> unit
+  val r2c :
+    ?variant:Algo.r2c_variant ->
+    ?idx:int array ->
+    Plan.t ->
+    buf ->
+    tmp:buf ->
+    unit
 
   val transpose :
     ?ws:Workspace.F64.t -> ?order:Layout.order -> m:int -> n:int -> buf -> unit
   (** Same contract as [Algo.Make(Storage.Float64).transpose]. When [ws]
-      is given the Theorem-6 scratch comes from the workspace (grown once,
-      reused across calls) instead of a fresh allocation per call. *)
+      is given the Theorem-6 scratch and the index row come from the
+      workspace (grown once, reused across calls) instead of a fresh
+      allocation per call. *)
 end
 
 module Engine_of (P : PHASES) : ENGINE
@@ -71,7 +110,11 @@ module Checked : sig
 end
 
 val c2r_access : Algo.c2r_variant -> Access.summary list
-(** {!Algo.c2r_access}: these kernels run the same phase bodies. *)
+(** {!Algo.c2r_access}: these kernels make the same accesses. Their row
+    passes compute the indices by {!Plan.walk} rather than per element;
+    the walk is tested equal to the per-element maps exhaustively on
+    small shapes, and the checked phases' traces are diffed against these
+    summaries. *)
 
 val r2c_access : Algo.r2c_variant -> Access.summary list
 (** {!Algo.r2c_access}. *)

@@ -1,20 +1,21 @@
 (** Arithmetic strength reduction for integer division and modulus (paper
     §4.4, after Warren's "Hacker's Delight" and Granlund-Montgomery).
 
-    The transposition inner loops evaluate index equations such as Eq. 31
-    that repeatedly divide by the same small divisors ([a], [b], [c], [m],
-    [n]). A {!t} precomputes a fixed-point reciprocal so each division
-    becomes a multiply and a shift, and each modulus one further multiply
-    and subtract, amortising the reciprocal across the whole permutation. *)
+    The paper's index equations, such as Eq. 31, repeatedly divide by the
+    same small divisors ([a], [b], [c], [m], [n]). A {!t} precomputes a
+    fixed-point reciprocal so each division becomes a multiply and a
+    shift, and each modulus one further multiply and subtract.
+
+    This module reproduces §4.4 for the ablation bench ([magic_divmod]
+    against hardware division). {!Plan} does not use it: its reference
+    maps divide in hardware, and the row passes index by the
+    division-free {!Plan.walk}. *)
 
 type t
 (** A precomputed reciprocal for one positive divisor. *)
 
 val max_dividend : int
-(** Largest dividend for which {!div} and {!modu} are exact ([2^30 - 1]).
-    Matrices may therefore hold up to [2^30] elements (8 GiB of doubles);
-    {!Plan.make} validates this and keeps every intermediate index
-    expression within the bound. *)
+(** Largest dividend for which {!div} and {!modu} are exact ([2^30 - 1]). *)
 
 val make : int -> t
 (** [make d] precomputes the reciprocal of [d].

@@ -6,96 +6,163 @@ type t = {
   b : int;
   a_inv : int;
   b_inv : int;
-  mg_m : Magic.t;
-  mg_n : Magic.t;
-  mg_a : Magic.t;
-  mg_b : Magic.t;
-  mg_c : Magic.t;
 }
 
 let make ~m ~n =
   if m < 1 || n < 1 then invalid_arg "Plan.make: dimensions must be positive";
-  (* Keep every dividend fed to the fixed-point reciprocals exact: the
-     largest is the helper f of Eq. 31, bounded by m*(n+1). *)
-  if m * (n + 1) > Magic.max_dividend || n * (m + 1) > Magic.max_dividend then
-    invalid_arg "Plan.make: matrix too large for strength-reduced indexing";
   let c = Intmath.gcd m n in
   let a = m / c and b = n / c in
   let a_inv = if b = 1 then 1 else Intmath.mmi a b in
   let b_inv = if a = 1 then 1 else Intmath.mmi b a in
-  {
-    m;
-    n;
-    c;
-    a;
-    b;
-    a_inv;
-    b_inv;
-    mg_m = Magic.make m;
-    mg_n = Magic.make n;
-    mg_a = Magic.make a;
-    mg_b = Magic.make b;
-    mg_c = Magic.make c;
-  }
+  { m; n; c; a; b; a_inv; b_inv }
 
 let coprime t = t.c = 1
 
 let scratch_elements t = if t.m > t.n then t.m else t.n
 
-let rotate_amount t j = Magic.div t.mg_b j
+let rotate_amount t j = j / t.b
 
-let r t ~j i = Magic.modu t.mg_m (i + Magic.div t.mg_b j)
+let r t ~j i = (i + (j / t.b)) mod t.m
 
-let d' t ~i j =
-  Magic.modu t.mg_n (Magic.modu t.mg_m (i + Magic.div t.mg_b j) + (j * t.m))
-
-(* Largest factor whose square stays an exact Magic dividend. *)
-let sq_fits = 32768
+let d' t ~i j = (((i + (j / t.b)) mod t.m) + (j * t.m)) mod t.n
 
 (* Eq. 31. The helper f (§4.2) selects between two affine forms depending on
-   whether the pre-rotation wrapped for this (i, j). The quotient of f by c
-   is reduced mod b before multiplying by a^-1 so the product stays within
-   Magic's exact range; for huge b the final reduction falls back to exact
-   Euclidean mod. *)
+   whether the pre-rotation wrapped for this (i, j). *)
 let d'_inv t ~i j =
   let f =
-    if i - Magic.modu t.mg_c j + t.c <= t.m then j + (i * (t.n - 1))
+    if i - (j mod t.c) + t.c <= t.m then j + (i * (t.n - 1))
     else j + (i * (t.n - 1)) + t.m
   in
-  let fq, fr = Magic.divmod t.mg_c f in
-  let x = t.a_inv * Magic.modu t.mg_b fq in
-  let x = if t.b <= sq_fits then Magic.modu t.mg_b x else Intmath.emod x t.b in
-  x + (fr * t.b)
+  (t.a_inv * (f / t.c mod t.b) mod t.b) + (f mod t.c * t.b)
 
-let s' t ~j i = Intmath.emod (j + (i * t.n) - Magic.div t.mg_a i) t.m
+let s' t ~j i = Intmath.emod (j + (i * t.n) - (i / t.a)) t.m
 
-let p t ~j i = Magic.modu t.mg_m (i + j)
+let p t ~j i = (i + j) mod t.m
 
-let q t i = Intmath.emod ((i * t.n) - Magic.div t.mg_a i) t.m
+let q t i = Intmath.emod ((i * t.n) - (i / t.a)) t.m
 
-(* Eq. 34. The quotient (c-1+i)/c is at most a; reduce it mod a before the
-   multiply for the same exactness reason as in d'_inv. *)
+(* Eq. 34. The quotient (c-1+i)/c is at most a; a quotient of exactly a
+   is congruent to 0. *)
 let q_inv t i =
-  let v = Magic.div t.mg_c (t.c - 1 + i) in
+  let v = (t.c - 1 + i) / t.c in
   let v = if v = t.a then 0 else v in
-  let x = v * t.b_inv in
-  let x = if t.a <= sq_fits then Magic.modu t.mg_a x else Intmath.emod x t.a in
-  x + (Magic.modu t.mg_c ((t.c - 1) * i) * t.a)
+  (v * t.b_inv mod t.a) + ((t.c - 1) * i mod t.c * t.a)
 
 let p_inv t ~j i = Intmath.emod (i - j) t.m
 
-let r_inv t ~j i = Intmath.emod (i - Magic.div t.mg_b j) t.m
+let r_inv t ~j i = Intmath.emod (i - (j / t.b)) t.m
 
 let s'_inv t ~j i = q_inv t (Intmath.emod (i - j) t.m)
+
+(* -- row walks -------------------------------------------------------------
+
+   d' and d'_inv evaluated along a row by adds and compares instead of
+   divisions (ALGORITHM.md §5). The cursor carries the per-row seeds, so
+   a walk over rows [lo, hi) divides once, at [walk], and steps from row
+   to row without dividing either. *)
+
+type walk = {
+  plan : t;
+  m_mod_n : int;  (* step of j*m mod n along a row *)
+  a_inv_b : int;  (* a^-1 mod b: step of x when f mod c wraps *)
+  mutable row : int;
+  mutable row_mod_n : int;  (* row mod n *)
+  mutable f_rem : int;  (* row*(n-1) mod c *)
+  mutable f_x : int;  (* a^-1 * (row*(n-1) / c) mod b *)
+}
+
+let walk t ~row =
+  if row < 0 || row > t.m then invalid_arg "Plan.walk: row outside [0, m]";
+  let f0 = row * (t.n - 1) in
+  {
+    plan = t;
+    m_mod_n = t.m mod t.n;
+    a_inv_b = t.a_inv mod t.b;
+    row;
+    row_mod_n = row mod t.n;
+    f_rem = f0 mod t.c;
+    f_x = t.a_inv * (f0 / t.c mod t.b) mod t.b;
+  }
+
+(* row*(n-1) grows by n - 1 = c*b - 1 per row: f mod c steps down by
+   one, and when it borrows, f / c grows by b - 1 instead of b, which
+   moves x by -a^-1 (mod b). *)
+let next_row w =
+  let t = w.plan in
+  w.row <- w.row + 1;
+  w.row_mod_n <- (if w.row_mod_n + 1 = t.n then 0 else w.row_mod_n + 1);
+  if w.f_rem > 0 then w.f_rem <- w.f_rem - 1
+  else begin
+    w.f_rem <- t.c - 1;
+    let x = w.f_x - w.a_inv_b in
+    w.f_x <- (if x < 0 then x + t.b else x)
+  end
+
+let check_row who t (dst : int array) =
+  if Array.length dst < t.n then
+    invalid_arg (who ^ ": index row shorter than n")
+
+(* d'(i, j) = (u mod n + v) mod n with u = (i + j/b) mod m and
+   v = j*m mod n: v steps by m mod n, u by one every b columns, and
+   u mod n resets with u when u wraps at m. *)
+let walk_d' w (dst : int array) =
+  let t = w.plan in
+  let m = t.m and n = t.n and b = t.b and step = w.m_mod_n in
+  check_row "Plan.walk_d'" t dst;
+  let u = ref w.row and um = ref w.row_mod_n and v = ref 0 and jb = ref 0 in
+  for j = 0 to n - 1 do
+    let d = !um + !v in
+    Array.unsafe_set dst j (if d >= n then d - n else d);
+    let v' = !v + step in
+    v := if v' >= n then v' - n else v';
+    incr jb;
+    if !jb = b then begin
+      jb := 0;
+      incr u;
+      if !u = m then begin
+        u := 0;
+        um := 0
+      end
+      else begin
+        incr um;
+        if !um = n then um := 0
+      end
+    end
+  done;
+  next_row w
+
+(* d'_inv(i, j) = x + (f mod c)*b with x = a^-1 * (f / c) mod b: along
+   a row f mod c steps by one and x by a^-1 each time it wraps. The +m
+   case of Eq. 31 (j mod c < i + c - m) adds a*c to f, which leaves
+   f mod c alone and moves x by a*a^-1 = 1 (mod b). *)
+let walk_d'_inv w (dst : int array) =
+  let t = w.plan in
+  let n = t.n and b = t.b and c = t.c and step = w.a_inv_b in
+  check_row "Plan.walk_d'_inv" t dst;
+  let wrap = w.row + c - t.m in
+  let jc = ref 0 and frb = ref (w.f_rem * b) and x = ref w.f_x in
+  for j = 0 to n - 1 do
+    let xj =
+      if !jc < wrap then (if !x + 1 = b then 0 else !x + 1) else !x
+    in
+    Array.unsafe_set dst j (xj + !frb);
+    incr jc;
+    if !jc = c then jc := 0;
+    frb := !frb + b;
+    if !frb = n then begin
+      frb := 0;
+      let x' = !x + step in
+      x := if x' >= b then x' - b else x'
+    end
+  done;
+  next_row w
 
 let check_internal t =
   assert (t.a * t.c = t.m);
   assert (t.b * t.c = t.n);
   assert (Intmath.gcd t.a t.b = 1);
   assert (t.b = 1 || Intmath.emod (t.a * t.a_inv) t.b = 1);
-  assert (t.a = 1 || Intmath.emod (t.b * t.b_inv) t.a = 1);
-  assert (Magic.divisor t.mg_m = t.m);
-  assert (Magic.divisor t.mg_n = t.n)
+  assert (t.a = 1 || Intmath.emod (t.b * t.b_inv) t.a = 1)
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>plan %dx%d (c=%d a=%d b=%d a^-1=%d b^-1=%d)@]" t.m
@@ -140,9 +207,12 @@ module Cache = struct
 
   let default = create ()
 
-  let m_hits = lazy (Xpose_obs.Metrics.counter "plan_cache.hits")
-  let m_misses = lazy (Xpose_obs.Metrics.counter "plan_cache.misses")
-  let m_evictions = lazy (Xpose_obs.Metrics.counter "plan_cache.evictions")
+  let m_hits =
+    Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "plan_cache.hits"
+  let m_misses =
+    Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "plan_cache.misses"
+  let m_evictions =
+    Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "plan_cache.evictions"
 
   (* Least-recently-used entry by stamp; a linear scan is fine at the
      capacities plans are cached at (the table holds tens of entries). *)
@@ -159,7 +229,7 @@ module Cache = struct
     | Some (key, _) ->
         Hashtbl.remove t.table key;
         t.evictions <- t.evictions + 1;
-        Xpose_obs.Metrics.incr (Lazy.force m_evictions)
+        Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_evictions)
     | None -> ()
 
   let get ?(cache = default) ?(params = Tune_params.default) ~m ~n () =
@@ -171,14 +241,14 @@ module Cache = struct
         e.stamp <- cache.clock;
         cache.hits <- cache.hits + 1;
         Mutex.unlock cache.mutex;
-        Xpose_obs.Metrics.incr (Lazy.force m_hits);
+        Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_hits);
         e.plan
     | None ->
         cache.misses <- cache.misses + 1;
         Mutex.unlock cache.mutex;
-        Xpose_obs.Metrics.incr (Lazy.force m_misses);
+        Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_misses);
         (* Build outside the lock: [make] is the expensive part (gcd,
-           modular inverses, five Magic reciprocals) and may raise. A
+           two modular inverses) and may raise. A
            racing lookup of the same shape builds twice; the table keeps
            one winner. *)
         let plan = make ~m ~n in

@@ -1,12 +1,14 @@
 (** A transposition plan: the quantities shared by every permutation pass of
     the decomposed C2R/R2C transposition of an [m x n] matrix (paper §3-4).
 
-    A plan precomputes [c = gcd(m,n)], [a = m/c], [b = n/c], the modular
-    inverses [a^-1 mod b] and [b^-1 mod a], and fixed-point reciprocals for
-    all divisors appearing in the index equations, so the per-element index
-    computations in the hot loops are division-free (§4.4).
+    A plan precomputes [c = gcd(m,n)], [a = m/c], [b = n/c] and the
+    modular inverses [a^-1 mod b] and [b^-1 mod a].
 
-    All index functions follow the paper's equation numbers. Rotation
+    All index functions follow the paper's equation numbers and evaluate
+    one element at a time with hardware division: they are the reference
+    maps the engines and tests are checked against. The f64 row passes do
+    not call them per element; they fill whole rows through the
+    division-free {!walk} instead (ALGORITHM.md §5). Rotation
     "gather" semantics: a column rotated by [k] satisfies
     [x'[i] = x[(i + k) mod m]]. *)
 
@@ -18,11 +20,6 @@ type t = private {
   b : int;  (** n / c *)
   a_inv : int;  (** modular inverse of [a] mod [b] ([1] if [b = 1]) *)
   b_inv : int;  (** modular inverse of [b] mod [a] ([1] if [a = 1]) *)
-  mg_m : Magic.t;
-  mg_n : Magic.t;
-  mg_a : Magic.t;
-  mg_b : Magic.t;
-  mg_c : Magic.t;
 }
 
 val make : m:int -> n:int -> t
@@ -86,6 +83,32 @@ val s'_inv : t -> j:int -> int -> int
 (** [s'_inv t ~j i] is [(q_inv t ((i - j) mod m))]: the inverse of {!s'},
     i.e. [q^-1 ∘ p_j^-1] (composition order per §4.3). *)
 
+(** {1 Row walks}
+
+    {!d'} and {!d'_inv} evaluated along consecutive rows by adds and
+    compares only: one row's indices per call, written into a
+    caller-owned [int array] (the f64 engines take it from their
+    {!Workspace}). A walk over rows [[lo, hi)] divides once, when it is
+    created at [lo]; stepping from row to row divides nothing. Every
+    index a walk writes lies in [[0, n)] whatever the row, so an unsafe
+    mover indexing by it stays inside its row. *)
+
+type walk
+(** A cursor over the rows of one plan. *)
+
+val walk : t -> row:int -> walk
+(** [walk t ~row] is a cursor at row [row].
+    @raise Invalid_argument unless [0 <= row <= m]. *)
+
+val walk_d' : walk -> int array -> unit
+(** [walk_d' w dst] sets [dst.(j)] to [d' t ~i j] for every [j] in
+    [[0, n)], where [i] is the cursor's row, then moves the cursor to row
+    [i + 1].
+    @raise Invalid_argument if [dst] holds fewer than [n] elements. *)
+
+val walk_d'_inv : walk -> int array -> unit
+(** [walk_d'_inv w dst] is {!walk_d'} for {!d'_inv}. *)
+
 (** {1 Specification helpers} *)
 
 val check_internal : t -> unit
@@ -97,8 +120,8 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Plan cache}
 
-    [make] pays a gcd, two extended-gcd modular inverses and five Magic
-    reciprocal constructions. A serving workload transposing the same
+    [make] pays a gcd and two extended-gcd modular inverses. A serving
+    workload transposing the same
     handful of shapes over and over should pay that once per shape: the
     cache memoizes plans keyed by [(m, n)] with LRU eviction. Lookups are
     thread-safe (pool workers may share a cache); hit/miss/eviction

@@ -7,6 +7,7 @@ module type S = sig
   val head : t -> int -> buf
   val block : t -> int -> buf
   val tmp : t -> int -> buf
+  val idx : t -> int -> int array
 end
 
 module Make (St : Storage.S) = struct
@@ -17,6 +18,7 @@ module Make (St : Storage.S) = struct
     mutable head : buf;
     mutable block : buf;
     mutable tmp : buf;
+    mutable idx : int array;
   }
 
   let create () =
@@ -25,6 +27,7 @@ module Make (St : Storage.S) = struct
       head = St.create 0;
       block = St.create 0;
       tmp = St.create 0;
+      idx = [||];
     }
 
   let line t len =
@@ -42,6 +45,10 @@ module Make (St : Storage.S) = struct
   let tmp t len =
     if St.length t.tmp < len then t.tmp <- St.create len;
     t.tmp
+
+  let idx t len =
+    if Array.length t.idx < len then t.idx <- Array.make len 0;
+    t.idx
 end
 
 module F64 = Make (Storage.Float64)

@@ -4,10 +4,11 @@
     The §4.6/§4.7 passes need four small buffers: a [line] holding one
     sub-row (group width), a [head] caching the first rows of a panel
     (width x width), a [block] staging the fine-rotation strips
-    (block_rows x width), and the Theorem-6 [tmp] scratch (max m n).
+    (block_rows x width), and the Theorem-6 [tmp] scratch (max m n). The
+    row passes add an [idx] row of walk indices ({!Plan.walk}).
     Allocating them per call is cheap for one large transpose but
     dominates a batched many-small-matrices workload, so a workspace owns
-    all four and grows them monotonically on demand: the accessors return
+    all five and grows them monotonically on demand: the accessors return
     a buffer of {e at least} the requested length, reallocating only when
     the current one is too small.
 
@@ -33,6 +34,9 @@ module type S = sig
 
   val tmp : t -> int -> buf
   (** Theorem-6 per-worker scratch ([Plan.scratch_elements]). *)
+
+  val idx : t -> int -> int array
+  (** One row of {!Plan.walk} indices (at least [n]). *)
 end
 
 module Make (St : Storage.S) : S with type buf = St.t

@@ -51,6 +51,10 @@ let over_columns pool ~n ~width pass =
       let lo = lo * width and hi = min n (hi * width) in
       if lo < hi then pass ~chunk ~lo ~hi)
 
+(* A lane's scratch row and walk index row for the row passes. *)
+let row_tmp ws (p : Plan.t) = Ws.tmp ws (Plan.scratch_elements p)
+let row_idx ws (p : Plan.t) = Ws.idx ws p.n
+
 let get_workspaces ?workspaces pool =
   match workspaces with
   | Some wss ->
@@ -88,8 +92,8 @@ module type PRIMS = sig
     w:int ->
     unit
 
-  val row_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val row_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
+  val row_shuffle_gather : Kernels_f64.row_pass
+  val row_shuffle_ungather : Kernels_f64.row_pass
 end
 
 module Prims = struct
@@ -724,9 +728,8 @@ module Engine_of (P : PRIMS) : ENGINE = struct
               ~amount)
       end;
       obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-          P.row_shuffle_gather p buf
-            ~tmp:(Ws.tmp ws (Plan.scratch_elements p))
-            ~lo:0 ~hi:m);
+          P.row_shuffle_gather p buf ~tmp:(row_tmp ws p) ~idx:(row_idx ws p)
+            ~row0:0 ~lo:0 ~hi:m);
       let cycles = cycles ~m ~index:(Plan.q p) in
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
           c2r_cols ~panel_width:width ~block_rows ~tier ~ws p buf ~cycles)
@@ -743,9 +746,8 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
           r2c_cols ~panel_width:width ~block_rows ~tier ~ws p buf ~cycles);
       obs_pass p "row_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-          P.row_shuffle_ungather p buf
-            ~tmp:(Ws.tmp ws (Plan.scratch_elements p))
-            ~lo:0 ~hi:m);
+          P.row_shuffle_ungather p buf ~tmp:(row_tmp ws p)
+            ~idx:(row_idx ws p) ~row0:0 ~lo:0 ~hi:m);
       if not (Plan.coprime p) then begin
         let amount j = -Plan.rotate_amount p j in
         obs_pass p "rotate_post"
@@ -802,9 +804,9 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       end;
       obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
           Pool.parallel_chunks pool ~lo:0 ~hi:m (fun ~chunk ~lo ~hi ->
-              P.row_shuffle_gather p buf
-                ~tmp:(Ws.tmp wss.(chunk) (Plan.scratch_elements p))
-                ~lo ~hi));
+              let ws = wss.(chunk) in
+              P.row_shuffle_gather p buf ~tmp:(row_tmp ws p)
+                ~idx:(row_idx ws p) ~row0:0 ~lo ~hi));
       let cycles = cycles ~m ~index:(Plan.q p) in
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
           over_columns pool ~n ~width (fun ~chunk ~lo ~hi ->
@@ -826,9 +828,9 @@ module Engine_of (P : PRIMS) : ENGINE = struct
                 ~lo ~hi p buf ~cycles));
       obs_pass p "row_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
           Pool.parallel_chunks pool ~lo:0 ~hi:m (fun ~chunk ~lo ~hi ->
-              P.row_shuffle_ungather p buf
-                ~tmp:(Ws.tmp wss.(chunk) (Plan.scratch_elements p))
-                ~lo ~hi));
+              let ws = wss.(chunk) in
+              P.row_shuffle_ungather p buf ~tmp:(row_tmp ws p)
+                ~idx:(row_idx ws p) ~row0:0 ~lo ~hi));
       if not (Plan.coprime p) then begin
         let amount j = -Plan.rotate_amount p j in
         obs_pass p "rotate_post"
@@ -926,5 +928,11 @@ include Engine_of (Prims)
 
 module Checked = Engine_of (Checked_prims)
 
-(* Same loop bodies as Fused.Make => same access summaries. *)
+(* Fused.Make's summaries cover this engine. Its panel primitives make
+   the same accesses as Fused.Make's, and its row passes are
+   Kernels_f64's walk movers, which the tests check equal to the
+   per-element maps exhaustively on small shapes (test/core). What makes
+   the sharing sound is the trace cross-validation (test/check
+   suite_access): the checked twin's recorded accesses must fall inside
+   these summaries on a grid of shapes, widths and tiers. *)
 module Summary = Fused.Summary

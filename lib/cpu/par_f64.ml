@@ -7,6 +7,10 @@ let scratches pool (p : Plan.t) =
       Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
         (Plan.scratch_elements p))
 
+(* One walk index row per lane for the row passes. *)
+let index_rows pool (p : Plan.t) =
+  Array.init (Pool.workers pool) (fun _ -> Array.make p.n 0)
+
 let check (p : Plan.t) (buf : buf) =
   if Bigarray.Array1.dim buf <> p.m * p.n then
     invalid_arg "Par_f64: buffer size does not match plan"
@@ -21,8 +25,9 @@ let c2r ?(variant = Algo.C2r_gather) pool (p : Plan.t) buf =
       Pool.parallel_chunks pool ~lo:0 ~hi:n (fun ~chunk ~lo ~hi ->
           pass ~tmp:tmp.(chunk) ~lo ~hi)
     and over_rows pass =
+      let idx = index_rows pool p in
       Pool.parallel_chunks pool ~lo:0 ~hi:m (fun ~chunk ~lo ~hi ->
-          pass ~tmp:tmp.(chunk) ~lo ~hi)
+          pass ~tmp:tmp.(chunk) ~idx:idx.(chunk) ~row0:0 ~lo ~hi)
     in
     if not (Plan.coprime p) then
       over_cols
@@ -49,8 +54,9 @@ let r2c ?(variant = Algo.R2c_fused) pool (p : Plan.t) buf =
       Pool.parallel_chunks pool ~lo:0 ~hi:n (fun ~chunk ~lo ~hi ->
           pass ~tmp:tmp.(chunk) ~lo ~hi)
     and over_rows pass =
+      let idx = index_rows pool p in
       Pool.parallel_chunks pool ~lo:0 ~hi:m (fun ~chunk ~lo ~hi ->
-          pass ~tmp:tmp.(chunk) ~lo ~hi)
+          pass ~tmp:tmp.(chunk) ~idx:idx.(chunk) ~row0:0 ~lo ~hi)
     in
     (match variant with
     | Algo.R2c_fused -> over_cols (Kernels_f64.Phases.col_shuffle_ungather p buf)

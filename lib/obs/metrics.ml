@@ -70,6 +70,27 @@ let histogram name =
         })
     (function H h -> Some h | _ -> None)
 
+(* A metric registered on first use: the cell is filled by whichever
+   forcer gets there first. Racing forcers each call [register], which
+   returns the one metric under the registry lock, so every one of them
+   stores and returns the same value. Unlike [lazy], forcing from two
+   domains (or two threads) at once is safe. *)
+type 'a deferred = {
+  name : string;
+  make : string -> 'a;
+  cell : 'a option Atomic.t;
+}
+
+let defer make name = { name; make; cell = Atomic.make None }
+
+let force d =
+  match Atomic.get d.cell with
+  | Some v -> v
+  | None ->
+      let v = d.make d.name in
+      Atomic.set d.cell (Some v);
+      v
+
 let atomic_add_float cell v =
   let rec go () =
     let cur = Atomic.get cell in

@@ -60,6 +60,26 @@ val histogram_quantile : histogram -> float -> float
     bound. Replaces ad-hoc sort-the-samples percentiles: the histogram
     is O(1) memory under any load. *)
 
+(** {1 Registration on first use}
+
+    A layer that should not grow the dump of runs that never reach it
+    registers its metrics when first used. [lazy] is not safe for that
+    on OCaml 5: two domains (or two threads) forcing one suspension at
+    once raise [CamlinternalLazy.Undefined]. A {!deferred} is. *)
+
+type 'a deferred
+(** A metric that is registered the first time it is {!force}d. *)
+
+val defer : (string -> 'a) -> string -> 'a deferred
+(** [defer counter name] is a handle on [counter name], not yet
+    registered. Works with {!counter}, {!gauge} and {!histogram}. *)
+
+val force : 'a deferred -> 'a
+(** The metric, registered on the first call. Safe to call from any
+    number of domains and threads at once: concurrent first calls all
+    return the same metric (registration is idempotent under the
+    registry lock). *)
+
 (** {1 Registry} *)
 
 type value =

@@ -13,10 +13,11 @@ open Xpose_core.Access
 let m = var "m"
 let n = var "n"
 
-(* Ooc_f64.shuffle_rows on one pool chunk [lo, hi) of a mapped row
-   window [win_lo, win_hi): the window buffer holds rows win_lo..win_hi
-   of the matrix, indexed relative to win_lo; the row map uses the
-   global row index i. *)
+(* The shared row passes (Kernels_f64.Phases) as Ooc_f64 runs them, on
+   one pool chunk [lo, hi) of a mapped row window [win_lo, win_hi) with
+   row0 = win_lo: the window buffer holds rows win_lo..win_hi of the
+   matrix, indexed relative to win_lo; the row map uses the global row
+   index i. *)
 let shuffle_rows ~ungather =
   let d ~i j = if ungather then Ix.d' ~i j else Ix.d'_inv ~i j in
   {

@@ -9,10 +9,11 @@
 open Xpose_core
 
 val shuffle_rows : ungather:bool -> Access.summary
-(** [Ooc_f64]'s in-window row shuffle on one pool chunk [lo, hi) of a
-    mapped row window [win_lo, win_hi): reads go through [d'_inv]
-    ([ungather:false], C2R) or [d'] ([ungather:true], R2C) at
-    window-relative offsets. Exact. *)
+(** The row passes ({!Xpose_core.Kernels_f64.Phases}[.row_shuffle_gather]
+    / [row_shuffle_ungather]) as [Ooc_f64] runs them: one pool chunk
+    [lo, hi) of a mapped row window [win_lo, win_hi), with
+    [row0 = win_lo]. Reads go through [d'_inv] ([ungather:false], C2R)
+    or [d'] ([ungather:true], R2C) at window-relative offsets. Exact. *)
 
 val gather_panel : Access.summary
 (** Stripe-window to staging-buffer panel copy ([per] = the panel

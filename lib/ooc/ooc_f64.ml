@@ -10,11 +10,15 @@ let default_window_bytes = 64 * 1024 * 1024
 
 (* Registered on first use so linking the library does not grow the
    metrics dump of runs that never go out of core. *)
-let m_windows = lazy (Xpose_obs.Metrics.counter "ooc.windows")
-let m_bytes = lazy (Xpose_obs.Metrics.counter "ooc.bytes_mapped")
-let m_hits = lazy (Xpose_obs.Metrics.counter "ooc.prefetch_hits")
-let m_waits = lazy (Xpose_obs.Metrics.counter "ooc.prefetch_waits")
-let g_peak = lazy (Xpose_obs.Metrics.gauge "ooc.window_peak_bytes")
+let m_windows = Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "ooc.windows"
+let m_bytes =
+  Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "ooc.bytes_mapped"
+let m_hits =
+  Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "ooc.prefetch_hits"
+let m_waits =
+  Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "ooc.prefetch_waits"
+let g_peak =
+  Xpose_obs.Metrics.defer Xpose_obs.Metrics.gauge "ooc.window_peak_bytes"
 
 (* -- residency ledger ------------------------------------------------------
 
@@ -34,23 +38,24 @@ let resident led bytes =
     if now > p && not (Atomic.compare_and_set led.peak p now) then bump ()
   in
   bump ();
-  let g = Lazy.force g_peak in
+  let g = Xpose_obs.Metrics.force g_peak in
   let p = float_of_int (Atomic.get led.peak) in
   if p > Xpose_obs.Metrics.gauge_value g then Xpose_obs.Metrics.set_gauge g p
 
 let released led bytes = ignore (Atomic.fetch_and_add led.cur (-bytes))
 
 let map_counted led ?(write = true) fd ~pos ~len =
-  Xpose_obs.Metrics.incr (Lazy.force m_windows);
-  Xpose_obs.Metrics.incr ~by:(len * 8) (Lazy.force m_bytes);
+  Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_windows);
+  Xpose_obs.Metrics.incr ~by:(len * 8) (Xpose_obs.Metrics.force m_bytes);
   resident led (len * 8);
   FM.map_range ~write fd ~pos ~len
 
 let unmap_counted led ~len = released led (len * 8)
 
 let count_await job =
-  if Io_domain.await job then Xpose_obs.Metrics.incr (Lazy.force m_hits)
-  else Xpose_obs.Metrics.incr (Lazy.force m_waits)
+  if Io_domain.await job then
+    Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_hits)
+  else Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_waits)
 
 (* Touch one element per page so the prefetching domain takes the page
    faults, not the pool workers. 512 float64s = one 4 KiB page. *)
@@ -78,34 +83,17 @@ let span_window ~rows ~cols ~pred f =
 
 (* -- row phases ------------------------------------------------------------
 
-   [Plan.d'] / [Plan.d'_inv] take the global row index, so a shuffle of
-   rows [lo, hi) only ever reads and writes inside its own window; the
-   window base [row0] converts global rows to window offsets. This is
-   the one pass the fused engine's primitives cannot run on a window
-   (their row index doubles as the buffer offset), hence the local
-   loop. *)
-
-let shuffle_rows (p : Plan.t) (win : buf) ~row0 ~(tmp : buf) ~ungather ~lo ~hi =
-  let n = p.n in
-  for i = lo to hi - 1 do
-    let base = (i - row0) * n in
-    if ungather then
-      for j = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set tmp j
-          (Bigarray.Array1.unsafe_get win (base + Plan.d' p ~i j))
-      done
-    else
-      for j = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set tmp j
-          (Bigarray.Array1.unsafe_get win (base + Plan.d'_inv p ~i j))
-      done;
-    for j = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set win (base + j) (Bigarray.Array1.unsafe_get tmp j)
-    done
-  done
+   The in-RAM row passes themselves, run on one mapped row window: the
+   phases take the window's first row as [row0], so the maps see global
+   rows while the buffer holds only the window, and a shuffle of rows
+   [lo, hi) reads and writes only inside its own window. *)
 
 let row_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~ungather =
   let scratch = Plan.scratch_elements p in
+  let shuffle =
+    if ungather then Kernels_f64.Phases.row_shuffle_ungather
+    else Kernels_f64.Phases.row_shuffle_gather
+  in
   Xpose_obs.Tracer.pass ~name ~rows:p.m ~cols:p.n
     ~pred_touches:(Pass_cost.shuffle p) ~scratch_elems:scratch
   @@ fun () ->
@@ -136,9 +124,8 @@ let row_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~ungather =
         Pool.parallel_chunks pool ~lo:w.Window.lo ~hi:w.Window.hi
           (fun ~chunk ~lo ~hi ->
             if lo < hi then
-              shuffle_rows p win ~row0:w.Window.lo
-                ~tmp:(Ws.tmp wss.(chunk) scratch)
-                ~ungather ~lo ~hi))
+              shuffle p win ~tmp:(Ws.tmp wss.(chunk) scratch)
+                ~idx:(Ws.idx wss.(chunk) p.n) ~row0:w.Window.lo ~lo ~hi))
   in
   match io with
   | None ->

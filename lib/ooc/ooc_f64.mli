@@ -7,8 +7,10 @@
 
     - the {e row phases} stream the file in row windows: each window is
       mapped, every row in it is shuffled through per-lane Theorem-6
-      scratch ({!Xpose_core.Plan.d'} indexing is global, so a window is
-      self-contained), and the mapping is dropped;
+      scratch by the in-RAM row passes
+      ({!Xpose_core.Kernels_f64.Phases}, given the window's first row as
+      [row0]: the index maps are global, so a window is self-contained),
+      and the mapping is dropped;
     - the {e column phases} (stride-[n] access) are blocked into
       width-bounded column panels: each panel is gathered through
       bounded row stripes into a contiguous RAM staging, permuted there

@@ -11,8 +11,9 @@ type t = {
   mutex : Mutex.t;
 }
 
-let m_hits = lazy (Xpose_obs.Metrics.counter "tune_db.hits")
-let m_misses = lazy (Xpose_obs.Metrics.counter "tune_db.misses")
+let m_hits = Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "tune_db.hits"
+let m_misses =
+  Xpose_obs.Metrics.defer Xpose_obs.Metrics.counter "tune_db.misses"
 
 let create ?db ?(cache = Plan.Cache.default) () =
   let db = match db with Some db -> db | None -> Db.create ~fingerprint:"" in
@@ -24,7 +25,8 @@ let bump t hit =
   Mutex.lock t.mutex;
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   Mutex.unlock t.mutex;
-  Xpose_obs.Metrics.incr (Lazy.force (if hit then m_hits else m_misses))
+  Xpose_obs.Metrics.incr
+    (Xpose_obs.Metrics.force (if hit then m_hits else m_misses))
 
 let hits t =
   Mutex.lock t.mutex;

@@ -81,6 +81,8 @@ type axis = Rows | Cols
 let kernel_cases (p : Plan.t) =
   let module K = Kernels_f64.Checked.Phases in
   let open Access.Passes in
+  let idx = Array.make p.n 0 in
+  let rows pass buf ~tmp ~lo ~hi = pass p buf ~tmp ~idx ~row0:0 ~lo ~hi in
   [
     ( rotate_pre,
       Cols,
@@ -100,9 +102,9 @@ let kernel_cases (p : Plan.t) =
       Cols,
       fun buf ~tmp ~lo ~hi ->
         K.rotate_columns p buf ~tmp ~amount:(fun j -> -j) ~lo ~hi );
-    (row_shuffle_gather, Rows, K.row_shuffle_gather p);
-    (row_shuffle_scatter, Rows, K.row_shuffle_scatter p);
-    (row_shuffle_ungather, Rows, K.row_shuffle_ungather p);
+    (row_shuffle_gather, Rows, rows K.row_shuffle_gather);
+    (row_shuffle_scatter, Rows, rows K.row_shuffle_scatter);
+    (row_shuffle_ungather, Rows, rows K.row_shuffle_ungather);
     (col_shuffle_gather, Cols, K.col_shuffle_gather p);
     (col_shuffle_ungather, Cols, K.col_shuffle_ungather p);
     ( row_permute_q,
@@ -142,6 +144,60 @@ let test_kernel_phases_grid () =
       (1, 1); (1, 7); (7, 1); (2, 2); (3, 5); (5, 3); (4, 6); (6, 4);
       (8, 12); (12, 8); (9, 9); (7, 11); (16, 10);
     ]
+
+(* -- the windowed row passes ----------------------------------------------
+   The out-of-core engine runs the same checked-twin row phases on one
+   mapped window of rows [win_lo, win_hi), passing row0 = win_lo. Every
+   window Window.split can cut and every pool chunk inside it must trace
+   exactly Ooc_access.shuffle_rows, whose window buffer is named "win". *)
+
+let check_window_rows ~m ~n ~win_lo ~win_hi ~lo ~hi =
+  let module K = Kernels_f64.Checked.Phases in
+  let p = Plan.make ~m ~n in
+  let win = f64 ((win_hi - win_lo) * n) and tmp = f64 (max m n) in
+  let idx = Array.make n 0 in
+  let env =
+    [ ("win_lo", win_lo); ("win_hi", win_hi); ("lo", lo); ("hi", hi) ]
+    @ Access.env_of_plan p
+  in
+  List.iter
+    (fun ungather ->
+      let pass =
+        if ungather then K.row_shuffle_ungather else K.row_shuffle_gather
+      in
+      fill win;
+      fill tmp;
+      let trace =
+        with_trace (fun () -> pass p win ~tmp ~idx ~row0:win_lo ~lo ~hi)
+        |> List.map (fun (e : Access.event) ->
+               if e.e_region = "matrix" then { e with e_region = "win" } else e)
+        |> List.sort_uniq compare
+      in
+      check_exact
+        ~msg:
+          (Printf.sprintf "m=%d n=%d window [%d,%d) rows [%d,%d)" m n win_lo
+             win_hi lo hi)
+        (Xpose_ooc.Ooc_access.shuffle_rows ~ungather)
+        env trace)
+    [ false; true ]
+
+let test_window_rows_grid () =
+  List.iter
+    (fun (m, n) ->
+      for per = 1 to m do
+        List.iter
+          (fun (w : Xpose_ooc.Window.t) ->
+            for lanes = 1 to 3 do
+              for k = 0 to lanes - 1 do
+                let lo, hi =
+                  Xpose_cpu.Pool.chunk_bounds ~lo:w.lo ~hi:w.hi ~chunks:lanes k
+                in
+                check_window_rows ~m ~n ~win_lo:w.lo ~win_hi:w.hi ~lo ~hi
+              done
+            done)
+          (Xpose_ooc.Window.split ~total:m ~per)
+      done)
+    [ (2, 2); (3, 5); (5, 3); (4, 6); (6, 4); (9, 9); (7, 11); (12, 8) ]
 
 (* -- fused panel engine: trace inclusion --------------------------------
    The panel summaries are proven supersets (the cycle structure visits
@@ -268,6 +324,8 @@ let tests =
     Alcotest.test_case "kernel phase traces = summaries (grid)" `Quick
       test_kernel_phases_grid;
     QCheck_alcotest.to_alcotest test_kernel_phases_random;
+    Alcotest.test_case "windowed row passes = ooc summaries (grid)" `Quick
+      test_window_rows_grid;
     Alcotest.test_case "fused engine traces included in summaries (grid)"
       `Quick test_fused_grid;
     QCheck_alcotest.to_alcotest test_fused_random;

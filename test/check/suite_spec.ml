@@ -35,6 +35,7 @@ let test_pass_models_match_kernels () =
     (fun (m, n) ->
       let p = Plan.make ~m ~n in
       let tmp = S.create (Plan.scratch_elements p) in
+      let idx = Array.make n 0 in
       let amount j = j in
       check_against_model ~m ~n "rotate_columns"
         (Spec.Passes.rotate_columns p ~amount)
@@ -42,16 +43,20 @@ let test_pass_models_match_kernels () =
           Kernels_f64.Phases.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n);
       check_against_model ~m ~n "row_shuffle_gather"
         (Spec.Passes.row_shuffle_gather p)
-        (fun buf -> Kernels_f64.Phases.row_shuffle_gather p buf ~tmp ~lo:0 ~hi:m);
+        (fun buf ->
+          Kernels_f64.Phases.row_shuffle_gather p buf ~tmp ~idx ~row0:0 ~lo:0
+            ~hi:m);
       (* scatter is a different implementation of the same permutation *)
       check_against_model ~m ~n "row_shuffle_scatter"
         (Spec.Passes.row_shuffle_gather p)
         (fun buf ->
-          Kernels_f64.Phases.row_shuffle_scatter p buf ~tmp ~lo:0 ~hi:m);
+          Kernels_f64.Phases.row_shuffle_scatter p buf ~tmp ~idx ~row0:0 ~lo:0
+            ~hi:m);
       check_against_model ~m ~n "row_shuffle_ungather"
         (Spec.Passes.row_shuffle_ungather p)
         (fun buf ->
-          Kernels_f64.Phases.row_shuffle_ungather p buf ~tmp ~lo:0 ~hi:m);
+          Kernels_f64.Phases.row_shuffle_ungather p buf ~tmp ~idx ~row0:0
+            ~lo:0 ~hi:m);
       check_against_model ~m ~n "col_shuffle_gather"
         (Spec.Passes.col_shuffle_gather p)
         (fun buf -> Kernels_f64.Phases.col_shuffle_gather p buf ~tmp ~lo:0 ~hi:n);

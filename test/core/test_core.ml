@@ -5,6 +5,7 @@ let () =
       ("magic", Suite_magic.tests);
       ("layout", Suite_layout.tests);
       ("plan", Suite_plan.tests);
+      ("walk", Suite_walk.tests);
       ("storage", Suite_storage.tests);
       ("algo", Suite_algo.tests);
       ("trace", Suite_trace.tests);

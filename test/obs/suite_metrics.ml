@@ -200,6 +200,64 @@ let test_render_json_non_finite () =
   Metrics.set_gauge (Metrics.gauge "test.json.nan_gauge") 0.0;
   Metrics.set_gauge (Metrics.gauge "test.json.inf_gauge") 0.0
 
+(* Registration on first use under contention: each round takes a fresh
+   handle on one metric, and [domains] domains of [threads] threads each
+   force it at once, released together by a per-round barrier. Every
+   forcer must get the registered counter and none may raise. Run over
+   [lazy] (fresh = fun name -> lazy (Metrics.counter name), force =
+   Lazy.force) the same hammer raises CamlinternalLazy.Undefined. *)
+let first_use_hammer ~rounds ~domains ~threads ~fresh ~force =
+  let name = "test.first_use_hammer" in
+  let c = Metrics.counter name in
+  let before = Metrics.counter_value c in
+  let forcers = domains * threads in
+  let handles = Array.init rounds (fun _ -> fresh name) in
+  let arrived = Array.init rounds (fun _ -> Atomic.make 0) in
+  let raised = Atomic.make 0 and strangers = Atomic.make 0 in
+  let forcer () =
+    for r = 0 to rounds - 1 do
+      Atomic.incr arrived.(r);
+      while Atomic.get arrived.(r) < forcers do
+        Thread.yield ()
+      done;
+      match force handles.(r) with
+      | got ->
+          if got != c then Atomic.incr strangers;
+          Metrics.incr got
+      | exception _ -> Atomic.incr raised
+    done
+  in
+  let domain () =
+    Domain.spawn (fun () ->
+        List.iter Thread.join
+          (List.init threads (fun _ -> Thread.create forcer ())))
+  in
+  List.iter Domain.join (List.init domains (fun _ -> domain ()));
+  (Atomic.get raised, Atomic.get strangers, Metrics.counter_value c - before)
+
+let test_deferred_hammer () =
+  let rounds = 1000 and domains = 2 and threads = 2 in
+  let raised, strangers, bumps =
+    first_use_hammer ~rounds ~domains ~threads
+      ~fresh:(Metrics.defer Metrics.counter)
+      ~force:Metrics.force
+  in
+  Alcotest.(check int) "no forcer raised" 0 raised;
+  Alcotest.(check int) "every forcer got the registered counter" 0 strangers;
+  Alcotest.(check int) "every forcer bumped it" (rounds * domains * threads)
+    bumps
+
+let test_deferred_registers_on_first_use () =
+  let name = "test.deferred.first_use" in
+  let d = Metrics.defer Metrics.gauge name in
+  Alcotest.(check bool) "not registered before force" false
+    (List.mem_assoc name (Metrics.dump ()));
+  Metrics.set_gauge (Metrics.force d) 2.0;
+  Alcotest.(check bool) "registered after force" true
+    (List.mem_assoc name (Metrics.dump ()));
+  Alcotest.(check bool) "later forces return the same gauge" true
+    (Metrics.force d == Metrics.gauge name)
+
 let tests =
   [
     Alcotest.test_case "parallel counter is exact" `Quick test_counter_parallel;
@@ -216,4 +274,8 @@ let tests =
     Alcotest.test_case "render_json" `Quick test_render_json;
     Alcotest.test_case "render_json stays valid on non-finite floats" `Quick
       test_render_json_non_finite;
+    Alcotest.test_case "deferred metrics register on first use" `Quick
+      test_deferred_registers_on_first_use;
+    Alcotest.test_case "deferred first use: domains x threads hammer" `Quick
+      test_deferred_hammer;
   ]
