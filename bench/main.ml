@@ -295,31 +295,6 @@ let fused_tests =
              Xpose_cpu.Fused_f64.transpose_batch pool ~m:bn ~n:bm batch_bufs));
     ]
 
-(* -- Micro-kernel tier --------------------------------------------------- *)
-
-let microkernel_tests =
-  (* The three kernel tiers of the fused engine at a shape large enough
-     for the in-register blocked movers to pay for themselves (the fine
-     phase dominates once whole panels stop fitting in L2). *)
-  let mm = 1024 and mn = 768 in
-  let p = Plan.make ~m:mm ~n:mn in
-  let ws = Workspace.F64.create () in
-  let roundtrip name tier =
-    let buf = f64_iota (mm * mn) in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           Xpose_cpu.Fused_f64.c2r ~tier ~ws p buf;
-           Xpose_cpu.Fused_f64.r2c ~tier ~ws p buf))
-  in
-  Test.make_grouped ~name:"microkernel"
-    [
-      roundtrip "fused_scalar" Tune_params.Scalar;
-      roundtrip "fused_mk8" Tune_params.Mk8;
-      roundtrip "fused_mk16" Tune_params.Mk16;
-    ]
-
-(* -- Out-of-core engine --------------------------------------------------- *)
-
 let ooc_tests =
   (* A transpose followed by its inverse restores the file, so every run
      sees identical bytes.  The 4x shapes force the windowed path (four
@@ -451,7 +426,6 @@ let all_groups =
     ablation_cache_aware;
     ablation_skinny;
     fused_tests;
-    microkernel_tests;
     ooc_tests;
     extension_tests;
     permute_tests;
@@ -501,40 +475,6 @@ let roofline_report cal =
   in
   Xpose_obs.Tracer.clear ();
   report
-
-(* -- micro-kernel ratio sentinel ------------------------------------------ *)
-
-(* Best-of-N micro-kernel time over best-of-N scalar time at a large
-   square shape, scaled by 1000. Both tiers run on this box and only
-   their quotient is recorded, so the committed baseline
-   (bench/baselines/BENCH_microkernel.json, pinned at 1000) gates with
-   zero cross-machine slack: [obs diff --time-rel 0 --min-ns 0] fails
-   exactly when the micro-kernel tier stops beating the scalar tier. *)
-let microkernel_ratio ~quick =
-  let mm = 1024 and mn = 1024 in
-  let p = Plan.make ~m:mm ~n:mn in
-  let ws = Workspace.F64.create () in
-  let buf = f64_iota (mm * mn) in
-  let repeats = if quick then 3 else 7 in
-  let time_tier tier =
-    let roundtrip () =
-      Xpose_cpu.Fused_f64.c2r ~tier ~ws p buf;
-      Xpose_cpu.Fused_f64.r2c ~tier ~ws p buf
-    in
-    roundtrip ();
-    let best = ref infinity in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      roundtrip ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let scalar = time_tier Tune_params.Scalar in
-  let mk =
-    Float.min (time_tier Tune_params.Mk8) (time_tier Tune_params.Mk16)
-  in
-  ("microkernel/mk_vs_scalar_ratio_x1000", Some (1000.0 *. mk /. scalar))
 
 (* -- machine-readable sink ----------------------------------------------- *)
 
@@ -657,19 +597,6 @@ let () =
             Printf.printf "%-60s %14s\n" name "n/a";
             (name, None))
       rows
-  in
-  let estimates =
-    (* The ratio pseudo-benchmark belongs to the microkernel group: emit
-       it whenever that group was selected. *)
-    let selected =
-      match !only with
-      | None -> true
-      | Some prefix ->
-          String.length prefix <= String.length "microkernel"
-          && String.equal (String.sub "microkernel" 0 (String.length prefix))
-               prefix
-    in
-    if selected then estimates @ [ microkernel_ratio ~quick ] else estimates
   in
   let roofline = roofline_report cal in
   write_json ~file:!out ~quick ~roofline:(Some roofline) estimates;

@@ -440,6 +440,63 @@ let panel_groups () =
       };
     ]
 
+(* Staging groups: the f64 engines split the global columns [col0,
+   col0 + pitch) a buffer holds into ceil(pitch/w) groups of the staging
+   width w and each lane runs its columns [col0 + g_lo*w, min(col0 +
+   pitch, col0 + g_hi*w)) through the staged pass. In RAM col0 = 0 and
+   pitch = n; out of core col0 is the staging's first column and pitch
+   its width. The lane ranges must be disjoint and stay inside the
+   buffer's columns: the sub-ranges the stage summaries' staging
+   parameters quantify. *)
+let stage_groups () =
+  let open Poly in
+  let base = add_var ctx_empty "col0" ~lowers:[ P.zero ] ~uppers:[] in
+  let base = add_var base "pitch" ~lowers:[ pc 1 ] ~uppers:[] in
+  let base = add_var base "w" ~lowers:[ pc 1 ] ~uppers:[] in
+  let base = add_var base "groups" ~lowers:[ pc 1 ] ~uppers:[] in
+  let gw = P.mul (v "groups") (v "w") in
+  let base = add_fact base (P.sub gw (v "pitch")) in
+  let base =
+    add_fact base (P.sub (P.add (v "pitch") (P.sub (v "w") (pc 1))) gw)
+  in
+  let any = add_pool base ~lo:P.zero ~hi:(v "groups") ~pair:false in
+  let pair = add_pool base ~lo:P.zero ~hi:(v "groups") ~pair:true in
+  let genv =
+    env_of [ "col0"; "pitch"; "w"; "groups"; "lanes"; "base"; "rem"; "k" ]
+  in
+  let k = Access.var "k" in
+  let k1 = Access.(k +: num 1) in
+  let clo = pool_clo ~lo:(Access.num 0) and chi = pool_chi ~lo:(Access.num 0) in
+  let top = Access.(var "col0" +: var "pitch") in
+  let lane_lo kx = Access.(var "col0" +: (clo kx *: var "w")) in
+  let lane_hi kx = Access.(Min (top, var "col0" +: (chi kx *: var "w"))) in
+  certificate ~subject:"barrier/stage-groups"
+    ~detail:
+      "staging-width column groups of an in-RAM matrix or an out-of-core \
+       staging are disjoint and inside the buffer's columns for every \
+       width, offset and lane count"
+    ~counter:(fun () -> split_counterexample Footprint.pool_split)
+    [
+      {
+        what = "adjacent lanes' stagings disjoint";
+        gctx = pair;
+        genv;
+        exp = Access.(lane_lo k1 -: lane_hi k);
+      };
+      {
+        what = "lane stagings below the buffer's last column";
+        gctx = any;
+        genv;
+        exp = Access.(top -: lane_hi k);
+      };
+      {
+        what = "lane stagings from the buffer's first column";
+        gctx = any;
+        genv;
+        exp = Access.(lane_lo k -: var "col0");
+      };
+    ]
+
 (* Block-axis barriers ([Par_permute] wide single blocks): lane k owns
    slots [clo, chi) of each of [reps] consecutive [blk]-wide units.
    Same-rep disjointness is the split; cross-rep disjointness needs
@@ -579,6 +636,7 @@ let region_discipline () =
     @ Xpose_cpu.Fused.Summary.panel_passes
     @ Xpose_cpu.Fused.Summary.c2r_passes
     @ Xpose_cpu.Fused.Summary.r2c_passes
+    @ Xpose_cpu.Fused_f64.Summary.all
     @ Xpose_ooc.Ooc_access.all
   in
   let count = ref 0 in
@@ -698,6 +756,7 @@ let run ?(seed_race = false) () : result list =
       ();
     column_chunks ();
     panel_groups ();
+    stage_groups ();
     interval_lift ~subject:"barrier/batch-slices" ~scale:"len"
       ~detail:
         "per-lane whole-matrix slices of a batch are disjoint and within \

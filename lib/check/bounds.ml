@@ -275,6 +275,11 @@ let kernel_results () =
       certify ~subject:(Printf.sprintf "kernels/%s" s.pass) s)
     Access.Passes.all_pipeline_passes
 
+(* The panel primitives of the generic Fused.Make (the Cache engine's
+   reference) and the stage-and-gather column passes of the f64
+   engines. Each summary is certified once for every width and again
+   pinned at each shipped width, so the certificate the autotuner's
+   choice rests on is named in the grid (still no shape enumerated). *)
 let fused_results ~widths () =
   List.concat_map
     (fun (s : Access.summary) ->
@@ -285,17 +290,7 @@ let fused_results ~widths () =
                ~subject:(Printf.sprintf "%s w=%d" s.pass w)
                (Access.pin s "w" w))
            widths)
-    Xpose_cpu.Fused.Summary.panel_passes
-  (* The kernel-tier axis: the mk summary's [bk] parameter quantifies
-     over every unroll depth at once; these entries additionally pin it
-     at each shipped tier's block so the certificate the autotuner's
-     choice rests on is named in the grid (still no shape enumerated). *)
-  @ List.map
-      (fun bk ->
-        certify
-          ~subject:(Printf.sprintf "fused.rotate_fine_mk bk=%d" bk)
-          (Access.pin Xpose_cpu.Fused.Summary.fine_mk "bk" bk))
-      [ 8; 16 ]
+    (Xpose_cpu.Fused.Summary.panel_passes @ Xpose_cpu.Fused_f64.Summary.all)
 
 let ooc_results () =
   List.map
@@ -343,6 +338,11 @@ let engine_rollups results =
       [ "functor"; "kernels"; "decomposed" ]
   in
   let panel_passes = pass_names Xpose_cpu.Fused.Summary.panel_passes in
+  let staged =
+    pass_names
+      (Xpose_cpu.Fused_f64.Summary.c2r_passes
+      @ Xpose_cpu.Fused_f64.Summary.r2c_passes)
+  in
   let fused =
     [
       rollup results ~subject:"engine cache"
@@ -357,13 +357,9 @@ let engine_rollups results =
                 row_permute_q_inv ]);
       rollup results ~subject:"engine fused"
         ~detail:
-          "panel coarse/fine/permute + kernel rotate fallback + row \
-           shuffles; serial, pool and batch schedules (sub-range \
-           quantified)"
-        ~passes:
-          (panel_passes
-          @ pass_names Xpose_cpu.Fused.Summary.c2r_passes
-          @ pass_names Xpose_cpu.Fused.Summary.r2c_passes);
+          "staged rotations and shuffles + walk row shuffles; serial, pool \
+           and batch schedules (sub-range quantified)"
+        ~passes:staged;
     ]
   in
   let batch =
@@ -371,9 +367,7 @@ let engine_rollups results =
       (fun (policy, why) ->
         rollup results
           ~subject:(Printf.sprintf "batch %s" policy)
-          ~detail:why
-          ~passes:
-            (panel_passes @ pass_names Xpose_cpu.Fused.Summary.c2r_passes))
+          ~detail:why ~passes:staged)
       [
         ( "auto",
           "matrix-parallel (serial engine per lane) or panel-parallel \
@@ -387,11 +381,12 @@ let engine_rollups results =
     [
       rollup results ~subject:"engine ooc"
         ~detail:
-          "window row shuffles + stripe gather/scatter; column compute \
-           runs the fused panel certificates under the local m x w plan"
+          "window row shuffles + stripe gather/scatter; the column passes \
+           run the staged certificates on each staging (pitch = its width, \
+           col0 = its first column)"
         ~passes:
-          (pass_names Xpose_ooc.Ooc_access.all @ panel_passes
-          @ pass_names [ Access.Passes.rotate_pre ]);
+          (pass_names Xpose_ooc.Ooc_access.all
+          @ pass_names Xpose_cpu.Fused_f64.Summary.all);
     ]
   in
   kernel_engines @ fused @ batch @ ooc

@@ -329,10 +329,9 @@ let shadow_entries ~shapes () =
             transposed_ok ~m ~n buf))
       small
   in
-  (* The fused shadow runs cover every kernel tier: the non-scalar
-     tiers rerun the transpose through the checked micro-kernel twins
-     ([Microkernel.Checked]), so an out-of-bounds unrolled mover or a
-     bad tail handoff trips a Violation here, not UB in the raw path. *)
+  (* The fused shadow runs keep the kernel-tier axis the tuning DB and
+     CLI still accept: every tier runs the same checked staged column
+     passes, so the grid keeps its shape while the tier is a no-op. *)
   let tier_tag = function
     | Xpose_core.Tune_params.Scalar -> ""
     | t -> Printf.sprintf "[%s]" (Xpose_core.Tune_params.tier_to_string t)

@@ -213,6 +213,11 @@ let rowcol_engine_barriers ~split ~lanes ~decomposed (p : Plan.t) ~c2r_side =
     @ [ row ~name:"row_unshuffle" ]
     @ if Plan.coprime p then [] else [ col ~name:"rotate_post" ]
 
+(* The f64 engines' lanes take whole stagings: their column groups are
+   the staging width the engine derives from the panel width. *)
+let stage_width (p : Plan.t) ~width =
+  Kernels_f64.stage_width ~m:p.m ~panel_width:width
+
 let panel_engine_barriers ~split ~lanes ~width (p : Plan.t) ~c2r_side =
   let panel = panel_barrier ~split ~lanes ~width p
   and row = row_barrier ~split ~lanes p in
@@ -233,8 +238,10 @@ let transpose_barriers ?(split = pool_split) ?(width = default_panel_width)
       rowcol_engine_barriers ~split ~lanes ~decomposed:false p ~c2r_side
   | Spec.Decomposed ->
       rowcol_engine_barriers ~split ~lanes ~decomposed:true p ~c2r_side
-  | Spec.Cache | Spec.Fused ->
-      panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+  | Spec.Cache -> panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+  | Spec.Fused ->
+      panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
+        ~c2r_side
 
 (* Fused_f64.transpose_batch under a split policy: batch-parallel when
    the policy says so for this batch size (each lane owns whole
@@ -274,7 +281,8 @@ let batch_barriers ?(split = pool_split) ?(policy = Tune_params.Auto)
          so one matrix's barriers represent them all *)
       let c2r_side = m > n in
       let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
-      panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+      panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
+        ~c2r_side
   end
 
 (* Xpose_ooc.Ooc_f64.transpose_file: window-granular barriers (each
@@ -288,7 +296,8 @@ let ooc_barriers ?(split = pool_split) ?(window_split = Xpose_ooc.Window.split)
   let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
   let budget = Xpose_ooc.Window.budget_elems ~window_bytes in
   if p.m * p.n <= budget then
-    panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+    panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
+      ~c2r_side
   else if p.m = 1 || p.n = 1 then []
   else begin
     let row_per = Xpose_ooc.Window.row_rows ~budget_elems:budget ~n:p.n in
@@ -328,13 +337,17 @@ let ooc_barriers ?(split = pool_split) ?(window_split = Xpose_ooc.Window.split)
       in
       { name = "ooc.row_shuffle"; chunks }
     in
-    (* Per column panel, the pool splits the staging's columns: the
-       staging is a contiguous [p.m x w] matrix in panel coordinates. *)
+    (* Per column panel, the pool splits the staging's columns into
+       groups of the staging width: the staging is a contiguous
+       [p.m x wd] matrix in panel coordinates. *)
+    let sw = stage_width p ~width:default_panel_width in
     let staging_barrier ~name (w : Xpose_ooc.Window.t) =
       let wd = w.Xpose_ooc.Window.hi - w.Xpose_ooc.Window.lo in
+      let groups = Intmath.ceil_div wd sw in
       let chunks =
         List.init lanes (fun k ->
-            let lo, hi = split ~lo:0 ~hi:wd ~chunks:lanes k in
+            let g_lo, g_hi = split ~lo:0 ~hi:groups ~chunks:lanes k in
+            let lo = g_lo * sw and hi = min wd (g_hi * sw) in
             let fp =
               if lo < hi then [ columns ~m:p.m ~n:wd ~lo ~hi ] else []
             in
@@ -348,13 +361,7 @@ let ooc_barriers ?(split = pool_split) ?(window_split = Xpose_ooc.Window.split)
       window_barrier ~name:"ooc.stripes" ~atom:row_atom stripes;
     ]
     @ List.map shuffle_barrier rows_w
-    @ List.concat_map
-        (fun w ->
-          [
-            staging_barrier ~name:"ooc.panel_rotate" w;
-            staging_barrier ~name:"ooc.panel_permute" w;
-          ])
-        cols_w
+    @ List.map (staging_barrier ~name:"ooc.stage") cols_w
   end
 
 (* Par_permute.transpose: batch-axis chunking for batched passes, block

@@ -92,7 +92,8 @@ val transpose_barriers :
 (** The barrier sequence the engine's parallel driver executes for an
     [m x n] transpose on [lanes] workers: row/column chunking for
     [Functor]/[Kernels]/[Decomposed] ([Par_transpose] / [Par_f64]),
-    width-aligned panel-group chunking for [Cache]/[Fused]
+    width-aligned panel-group chunking for [Cache] and staging-width
+    group chunking for [Fused]
     ([Par_cache_aware] / [Fused_f64] pool drivers). *)
 
 val batch_barriers :

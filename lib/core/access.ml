@@ -325,43 +325,6 @@ module Passes = struct
       exact = true;
     }
 
-  (* Rotation by an arbitrary (unknown) per-column amount: the rotation
-     residue k is universally quantified instead of computed. A proven
-     superset of [rotate amount] for every amount map. *)
-  let rotate_any ?(pass = "rotate_any") ?(tmp_size = Max (m, n)) () =
-    {
-      pass;
-      basis = Plan_basis;
-      params = range_params n;
-      regions = [ matrix; scratch tmp_size ];
-      body =
-        [
-          for_ "j" (var "lo") (var "hi")
-            [
-              for_ "k" (num 1) m
-                [
-                  for_ "i1" (num 0) (m -: var "k")
-                    [
-                      read "matrix" (((var "i1" +: var "k") *: n) +: var "j");
-                      write "tmp" (var "i1");
-                    ];
-                  for_ "i2" (m -: var "k") m
-                    [
-                      read "matrix"
-                        (((var "i2" +: var "k" -: m) *: n) +: var "j");
-                      write "tmp" (var "i2");
-                    ];
-                  for_ "i3" (num 0) m
-                    [
-                      read "tmp" (var "i3");
-                      write "matrix" ((var "i3" *: n) +: var "j");
-                    ];
-                ];
-            ];
-        ];
-      exact = false;
-    }
-
   (* The deliberately corrupted summary behind [--seed-oob-static]: the
      first copy loop runs one row too far, so its final read lands at
      (m - k + k) * n + j = m*n + j -- outside the matrix. Bounds must
@@ -461,6 +424,92 @@ module Passes = struct
 
   let permute_rows ?(pass = "permute_rows") index =
     col_gather ~pass (fun ~j:_ i -> index i)
+
+  (* One staging of Kernels_f64.Phases.gather_cols: global columns
+     [j0, j0 + w) of a buffer holding columns [col0, col0 + pitch) at row
+     pitch [pitch] (pitch = n and col0 = 0 in RAM; an out-of-core
+     staging's width and first column). The staging is copied row by row
+     into the m x w stage, then every row is written back from the stage
+     rows the map names. Staging position and width, pitch and col0 are
+     parameters, so one certificate covers every staging of every pool
+     chunk and every out-of-core panel. [gathers ~i ~j read_src] lists
+     the stage reads of element (i, j), [read_src] taking a source
+     row. *)
+  let stage_gather ~pass gathers =
+    let pitch = var "pitch" and col0 = var "col0" in
+    let w = var "w" and j0 = var "j0" in
+    let panel i jj = (i *: pitch) +: (j0 -: col0) +: jj in
+    {
+      pass;
+      basis = Plan_basis;
+      params =
+        [
+          { name = "pitch"; p_lo = Const 1; p_his = []; sample = [ 1; 2; 3; 5; 8 ] };
+          { name = "col0"; p_lo = Const 0; p_his = []; sample = [ 0; 1; 2; 3 ] };
+          { name = "w"; p_lo = Const 1; p_his = [ pitch ]; sample = [ 1; 2; 3; 4; 8; 16 ] };
+          {
+            name = "j0";
+            p_lo = col0;
+            p_his = [ col0 +: pitch -: w ];
+            sample = [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ];
+          };
+        ];
+      regions =
+        [
+          { rname = "matrix"; size = m *: pitch };
+          { rname = "stage"; size = m *: w };
+          { rname = "idx"; size = m };
+        ];
+      body =
+        [
+          for_ "i" (num 0) m
+            [
+              for_ "jj" (num 0) w
+                [
+                  read "matrix" (panel (var "i") (var "jj"));
+                  write "stage" ((var "i" *: w) +: var "jj");
+                ];
+            ];
+          for_ "i2" (num 0) m
+            [
+              for_ "jj2" (num 0) w
+                (gathers ~i:(var "i2") ~j:(j0 +: var "jj2") (fun src ->
+                     read "stage" ((src *: w) +: var "jj2"))
+                @ [ write "matrix" (panel (var "i2") (var "jj2")) ]);
+            ];
+        ];
+      exact = false;
+    }
+
+  (* Rotations by any per-column amount (rotate_pre, rotate_post): the
+     residue k is quantified, and the wrapped source is i + k - m. *)
+  let stage_rotate =
+    stage_gather ~pass:"stage_rotate" (fun ~i ~j:_ read_src ->
+        [
+          for_ "k" (num 0) m
+            [
+              bind "s" (i +: var "k")
+                [
+                  When (le (var "s") (m -: num 1), [ read_src (var "s") ]);
+                  When (le m (var "s"), [ read_src (var "s" -: m) ]);
+                ];
+            ];
+        ])
+
+  (* The C2R shuffle s'(i, j) = (q(i) + j) mod m, q read at row i. *)
+  let stage_shuffle =
+    stage_gather ~pass:"stage_shuffle" (fun ~i ~j read_src ->
+        [ read "idx" i; read_src ((q i +: j) %: m) ])
+
+  (* The R2C unshuffle q^-1((i - j) mod m) = q^-1((i + (-j mod m)) mod m),
+     as the engine computes it; q^-1 is read at that row. *)
+  let stage_unshuffle =
+    stage_gather ~pass:"stage_unshuffle" (fun ~i ~j read_src ->
+        [
+          bind "u"
+            ((i +: (m -: (j %: m))) %: m)
+            [ read "idx" (var "u"); read_src (q_inv (var "u")) ];
+        ])
 
   (* -- engine pipelines --------------------------------------------------
      The row/column engines (Algo.Make, Kernels_f64, and the unfused

@@ -150,10 +150,6 @@ module Passes : sig
   (** [rotate amount] is [Kernels_f64.Phases.rotate_columns] with the
       given per-column amount map. *)
 
-  val rotate_any : ?pass:string -> ?tmp_size:exp -> unit -> summary
-  (** Rotation by an arbitrary per-column amount: the residue is
-      universally quantified. Superset of [rotate f] for every [f]. *)
-
   val seeded_oob_rotate : (exp -> exp) -> summary
   (** The [--seed-oob-static] negative: one copy loop runs a row too
       far, reaching index [m*n + j]. Must fail the bounds proof. *)
@@ -166,6 +162,27 @@ module Passes : sig
   val col_shuffle_gather : summary
   val col_shuffle_ungather : summary
   val permute_rows : ?pass:string -> (exp -> exp) -> summary
+
+  (** {2 Stage and gather}
+
+      One staging of [Kernels_f64.Phases.gather_cols]: global columns
+      [[j0, j0 + w)] of a buffer holding columns [[col0, col0 + pitch)]
+      at row pitch [pitch]. Regions: the matrix panel ([m * pitch],
+      read by the stage sweep, written by the write-back), the lane's
+      stage ([m * w]) and the [m]-entry index table. Staging position
+      and width, pitch and col0 are parameters, so one certificate
+      covers the serial engine, every pool chunk and every out-of-core
+      staging. Supersets: the checked twin records no table reads, and
+      a rotation quantifies its residue. *)
+
+  val stage_rotate : summary
+  (** Rotation by any per-column amount ([rotate_pre], [rotate_post]). *)
+
+  val stage_shuffle : summary
+  (** The C2R shuffle [(q(i) + j) mod m]. *)
+
+  val stage_unshuffle : summary
+  (** The R2C unshuffle [q^-1((i - j) mod m)]. *)
 
   type c2r_pipeline = Gather | Scatter | Decomposed
   type r2c_pipeline = Fused_inverse | Decomposed_inverse

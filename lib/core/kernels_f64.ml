@@ -8,7 +8,138 @@ let check_args (p : Plan.t) (buf : buf) ~(tmp : buf) =
   if dim tmp < Plan.scratch_elements p then
     invalid_arg "Kernels_f64: scratch too small"
 
+(* -- column passes: stage and gather ---------------------------------------
+
+   Every column pass gathers within columns: row i of column j takes row
+   src(i, j) of the same column. A staging copies w columns into a
+   contiguous m x w scratch in one row-order sweep, then writes each row's
+   w elements back from the scratch rows the map names in a second
+   row-order sweep, so both sides stream whole sub-rows. *)
+
+type col_map =
+  | Rotate of (int -> int)
+  | Shuffle of int array  (* the q table *)
+  | Unshuffle of int array  (* the q^-1 table *)
+
+let rotate amount = Rotate amount
+let shuffle p = Shuffle (Plan.q_table p)
+let unshuffle p = Unshuffle (Plan.q_inv_table p)
+
+let stage_elems = 1 lsl 18
+
+let stage_width ~m ~panel_width =
+  if panel_width < 1 then
+    invalid_arg "Kernels_f64.stage_width: panel width must be positive";
+  max 1 (min panel_width (stage_elems / m))
+
+(* The index math of one staging of columns [j0, j0 + w): the map's
+   per-column shift reduced mod m once, so a row needs adds and one
+   compare per element. *)
+type col_walk = { m : int; w : int; off : int array; map : col_map }
+
+let col_walk ~m map ~j0 ~w =
+  let off =
+    Array.init w (fun jj ->
+        let j = j0 + jj in
+        match map with
+        | Rotate amount -> Intmath.emod (amount j) m
+        | Shuffle _ -> Intmath.emod j m
+        | Unshuffle _ -> Intmath.emod (-j) m)
+  in
+  { m; w; off; map }
+
+(* [idx.(jj)] <- the scratch offset [src * w + jj] that row [i] of column
+   [j0 + jj] gathers: src = (i + r_j) mod m for a rotation (Eqs. 23, 36),
+   (q(i) + j) mod m for the C2R shuffle (Eqs. 26, 32-33), and
+   q^-1((i - j) mod m) for the R2C unshuffle (Eqs. 34-35). *)
+let col_walk_row cw i (idx : int array) =
+  let m = cw.m and w = cw.w and off = cw.off in
+  match cw.map with
+  | Unshuffle qi ->
+      for jj = 0 to w - 1 do
+        let s = i + Array.unsafe_get off jj in
+        let s = if s >= m then s - m else s in
+        Array.unsafe_set idx jj ((Array.unsafe_get qi s * w) + jj)
+      done
+  | Rotate _ | Shuffle _ ->
+      let base = match cw.map with Shuffle q -> Array.unsafe_get q i | _ -> i in
+      for jj = 0 to w - 1 do
+        let s = base + Array.unsafe_get off jj in
+        let s = if s >= m then s - m else s in
+        Array.unsafe_set idx jj ((s * w) + jj)
+      done
+
+type col_pass =
+  Plan.t ->
+  buf ->
+  stage:buf ->
+  idx:int array ->
+  map:col_map ->
+  pitch:int ->
+  col0:int ->
+  width:int ->
+  lo:int ->
+  hi:int ->
+  unit
+
+(* The staging loop both movers share: argument checks once per call,
+   then one "panel" span per staging of at most [width] columns. *)
+let over_stagings (p : Plan.t) (buf : buf) ~(stage : buf) ~idx ~map ~pitch
+    ~col0 ~width ~lo ~hi visit =
+  let m = p.m in
+  if width < 1 then invalid_arg "Kernels_f64: staging width must be positive";
+  if col0 < 0 || lo < col0 || hi < lo || hi > col0 + pitch then
+    invalid_arg "Kernels_f64: bad column range";
+  if dim buf < m * pitch then invalid_arg "Kernels_f64: buffer smaller than m x pitch";
+  let wmax = min width (hi - lo) in
+  if dim stage < m * wmax || Array.length idx < wmax then
+    invalid_arg "Kernels_f64: staging scratch too small";
+  (match map with
+  | Shuffle t | Unshuffle t ->
+      if Array.length t <> m then
+        invalid_arg "Kernels_f64: map table does not match the plan"
+  | Rotate _ -> ());
+  let j0 = ref lo in
+  while !j0 < hi do
+    let lo = !j0 in
+    let w = min width (hi - lo) in
+    Xpose_obs.Tracer.panel ~name:"stage_panel" ~lo ~width:w ~rows:m
+      ~pred_touches:(Pass_cost.fused_panel p ~width:w)
+      (fun () -> visit (col_walk ~m map ~j0:lo ~w) ~c:(lo - col0));
+    j0 := lo + w
+  done
+
 module Phases = struct
+  let stage_in (buf : buf) ~m ~pitch ~c ~w (stage : buf) =
+    let b = ref c and s = ref 0 in
+    for _ = 0 to m - 1 do
+      let bb = !b and ss = !s in
+      for jj = 0 to w - 1 do
+        unsafe_set stage (ss + jj) (unsafe_get buf (bb + jj))
+      done;
+      b := bb + pitch;
+      s := ss + w
+    done
+
+  let stage_out (buf : buf) ~pitch ~c (stage : buf) ~idx cw =
+    let w = cw.w in
+    let b = ref c in
+    for i = 0 to cw.m - 1 do
+      col_walk_row cw i idx;
+      let bb = !b in
+      for jj = 0 to w - 1 do
+        unsafe_set buf (bb + jj) (unsafe_get stage (Array.unsafe_get idx jj))
+      done;
+      b := bb + pitch
+    done
+
+  let gather_cols (p : Plan.t) buf ~stage ~idx ~map ~pitch ~col0 ~width ~lo
+      ~hi =
+    over_stagings p buf ~stage ~idx ~map ~pitch ~col0 ~width ~lo ~hi
+      (fun cw ~c ->
+        stage_in buf ~m:p.m ~pitch ~c ~w:cw.w stage;
+        stage_out buf ~pitch ~c stage ~idx cw)
+
   let rotate_columns (p : Plan.t) (buf : buf) ~(tmp : buf) ~amount ~lo ~hi =
     let m = p.m and n = p.n in
     for j = lo to hi - 1 do
@@ -123,6 +254,8 @@ type row_pass =
   unit
 
 module type PHASES = sig
+  val gather_cols : col_pass
+
   val rotate_columns :
     Plan.t -> buf -> tmp:buf -> amount:(int -> int) -> lo:int -> hi:int -> unit
 
@@ -265,6 +398,30 @@ module Checked = struct
     v
 
   module Phases = struct
+    (* The raw stage-and-gather movers over the same {!col_walk_row}
+       offsets, every generated offset range-checked before use. *)
+    let gather_cols (p : Plan.t) (buf : buf) ~(stage : buf) ~idx ~map ~pitch
+        ~col0 ~width ~lo ~hi =
+      Checked_access.distinct ~who ~what:"column stage" stage buf;
+      let m = p.m in
+      over_stagings p buf ~stage ~idx ~map ~pitch ~col0 ~width ~lo ~hi
+        (fun cw ~c ->
+          let w = cw.w in
+          for i = 0 to m - 1 do
+            for jj = 0 to w - 1 do
+              cset stage "col stage write" ((i * w) + jj)
+                (cget buf "col panel read" ((i * pitch) + c + jj))
+            done
+          done;
+          for i = 0 to m - 1 do
+            col_walk_row cw i idx;
+            for jj = 0 to w - 1 do
+              let src = cidx "stage offset" ~bound:(m * w) idx.(jj) in
+              cset buf "col panel write" ((i * pitch) + c + jj)
+                (cget stage "col stage read" src)
+            done
+          done)
+
     let rotate_columns (p : Plan.t) (buf : buf) ~(tmp : buf) ~amount ~lo ~hi =
       Checked_access.distinct ~who ~what:"rotate scratch" tmp buf;
       let m = p.m and n = p.n in

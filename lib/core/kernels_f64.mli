@@ -33,10 +33,72 @@ type row_pass =
     f64 engines run: [Xpose_cpu.Fused_f64] and [Xpose_ooc.Ooc_f64] call
     these phases. *)
 
-(** The seven permutation passes. Both the raw unsafe implementation
+(** {1 Column passes: stage and gather}
+
+    Every column pass of the decomposition gathers inside columns: row
+    [i] of column [j] takes row [src(i, j)] of the same column. *)
+
+type col_map
+(** A column pass's [src(i, j)], with any row-permutation table it
+    reads. *)
+
+val rotate : (int -> int) -> col_map
+(** [rotate amount]: [src(i, j) = (i + amount j) mod m], the rotations
+    [r_j] and [r_j^-1] (Eqs. 23, 36). *)
+
+val shuffle : Plan.t -> col_map
+(** The C2R column shuffle [s'(i, j) = (q(i) + j) mod m] (Eqs. 26,
+    32-33); builds the [m]-entry [q] table. *)
+
+val unshuffle : Plan.t -> col_map
+(** Its R2C inverse [q^-1((i - j) mod m)] (Eqs. 34-35); builds the
+    [m]-entry [q^-1] table. *)
+
+val stage_elems : int
+(** [2^18]: the scratch budget B in elements that fixes the staging
+    width. *)
+
+val stage_width : m:int -> panel_width:int -> int
+(** [min panel_width (max 1 (stage_elems / m))]: the columns one staging
+    moves, so a lane's scratch holds at most [max m stage_elems]
+    elements.
+    @raise Invalid_argument if [panel_width < 1]. *)
+
+type col_pass =
+  Plan.t ->
+  buf ->
+  stage:buf ->
+  idx:int array ->
+  map:col_map ->
+  pitch:int ->
+  col0:int ->
+  width:int ->
+  lo:int ->
+  hi:int ->
+  unit
+(** A column pass over the global columns [[lo, hi)]. Row [i] of column
+    [j] sits at [i * pitch + (j - col0)] in the buffer, while the map is
+    evaluated at the global [j]: in-RAM callers pass [pitch = n] and
+    [col0 = 0], the out-of-core engine its staging's width and first
+    column. The range is cut into stagings of at most [width] columns
+    (one ["panel"] span each); a staging of [w] columns copies them into
+    [stage] (at least [m * w] elements) in one row-order sweep, then
+    writes every row back from the [stage] rows the map names, in a
+    second row-order sweep. [idx] (at least [w] long, contents scratch)
+    holds one row's scratch offsets.
+    @raise Invalid_argument if [width < 1], the range is outside
+    [[col0, col0 + pitch)], the buffer holds fewer than [m * pitch]
+    elements, the scratch is too small, or a map table is not [m]
+    long. *)
+
+(** The permutation passes. Both the raw unsafe implementation
     ({!Phases}) and its checked twin ({!Checked.Phases}) satisfy this
     signature; {!Engine_of} builds the full engine from either. *)
 module type PHASES = sig
+  val gather_cols : col_pass
+  (** Stage and gather: the column passes of the f64 fused and
+      out-of-core engines. *)
+
   val rotate_columns :
     Plan.t -> buf -> tmp:buf -> amount:(int -> int) -> lo:int -> hi:int -> unit
 
@@ -99,8 +161,8 @@ include ENGINE
 (** Checked-access shadow mode ({!Checked_access}): the same passes with
     every matrix and scratch access bounds-verified, every index-equation
     result ([d'], [d'_inv], [s'], [s'_inv], permutation indices)
-    range-verified, and the scratch verified distinct from the matrix
-    buffer. Raises {!Checked_access.Violation} on the first bad access
+    range-verified, every staging offset range-verified, and the scratch
+    verified distinct from the matrix buffer. Raises {!Checked_access.Violation} on the first bad access
     instead of corrupting memory. Selected by tests (run the suite once
     under checking) and by [xpose check --shadow]. *)
 module Checked : sig

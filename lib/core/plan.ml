@@ -157,6 +157,36 @@ let walk_d'_inv w (dst : int array) =
   done;
   next_row w
 
+(* -- q tables -----------------------------------------------------------
+
+   Eq. 33 along consecutive rows: i*n mod m steps by n mod m and i/a by
+   one every a rows, and i/a < c <= m, so one conditional add keeps
+   q(i) = (i*n mod m - i/a) mod m in range. q^-1 is its inverse table. *)
+
+let q_table t =
+  let m = t.m in
+  let q = Array.make m 0 in
+  let step = t.n mod m in
+  let v = ref 0 and u = ref 0 and ua = ref 0 in
+  for i = 0 to m - 1 do
+    let d = !v - !u in
+    Array.unsafe_set q i (if d < 0 then d + m else d);
+    let v' = !v + step in
+    v := if v' >= m then v' - m else v';
+    incr ua;
+    if !ua = t.a then begin
+      ua := 0;
+      incr u
+    end
+  done;
+  q
+
+let q_inv_table t =
+  let q = q_table t in
+  let qi = Array.make t.m 0 in
+  Array.iteri (fun i v -> qi.(v) <- i) q;
+  qi
+
 let check_internal t =
   assert (t.a * t.c = t.m);
   assert (t.b * t.c = t.n);

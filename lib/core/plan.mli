@@ -109,6 +109,17 @@ val walk_d' : walk -> int array -> unit
 val walk_d'_inv : walk -> int array -> unit
 (** [walk_d'_inv w dst] is {!walk_d'} for {!d'_inv}. *)
 
+(** {1 Row-permutation tables}
+
+    The column passes read {!q} and {!q_inv} once per row or element;
+    these build them as [m]-entry arrays by adds and compares. *)
+
+val q_table : t -> int array
+(** [(q_table t).(i) = q t i] for every [i] in [[0, m)]. *)
+
+val q_inv_table : t -> int array
+(** [(q_inv_table t).(i) = q_inv t i] for every [i] in [[0, m)]. *)
+
 (** {1 Specification helpers} *)
 
 val check_internal : t -> unit

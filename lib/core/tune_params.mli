@@ -29,9 +29,12 @@ type batch_split =
           with [lanes] resolved at dispatch time. *)
 
 type kernel_tier =
-  | Scalar  (** The historical element-at-a-time panel loops. *)
-  | Mk8  (** 8x8 in-register blocked micro-kernel tiles. *)
-  | Mk16  (** 16x16 in-register blocked micro-kernel tiles. *)
+  | Scalar
+  | Mk8
+  | Mk16
+(** The retired micro-kernel tier axis. The engines accept it and ignore
+    it (their staged column passes have no tier to select); it stays so
+    tuning DBs, CLI flags and the check grid keep their shape. *)
 
 type t = {
   engine : engine;
@@ -40,8 +43,7 @@ type t = {
   window_bytes : int option;
       (** Out-of-core residency budget; [None] for in-RAM engines. *)
   kernel_tier : kernel_tier;
-      (** Inner-loop tier of the fused panel passes; [Scalar] for every
-          other engine. *)
+      (** Accepted and ignored by every engine; [Scalar] by default. *)
 }
 
 val default : t

@@ -5,7 +5,9 @@
     sub-row (group width), a [head] caching the first rows of a panel
     (width x width), a [block] staging the fine-rotation strips
     (block_rows x width), and the Theorem-6 [tmp] scratch (max m n). The
-    row passes add an [idx] row of walk indices ({!Plan.walk}).
+    row passes add an [idx] row of walk indices ({!Plan.walk}). The f64
+    engines' staged column passes take their [m * w] staging from [tmp]
+    and one row's scratch offsets from [idx].
     Allocating them per call is cheap for one large transpose but
     dominates a batched many-small-matrices workload, so a workspace owns
     all five and grows them monotonically on demand: the accessors return

@@ -322,8 +322,7 @@ end
 
 (* -- access metadata -----------------------------------------------------
    Symbolic summaries of the panel primitives, shared by every [Make]
-   instantiation and by the specialized [Fused_f64] twin (their loop
-   bodies index identically). The panel phases are summarized in the
+   instantiation (the generic reference engine behind Cache_aware). The panel phases are summarized in the
    free basis (roots m, n >= 1) with the panel geometry as parameters:
    w in [1, n], lo in [0, n - w], so one certificate covers every
    panel width, every sweep position, and every pool chunking of the
@@ -473,136 +472,15 @@ module Summary = struct
       exact = false;
     }
 
-  (* The micro-kernel tier's fine rotation. The distinctive new loop
-     nest is the fully-unwrapped tile region: every unrolled column
-     mover reads [bk] consecutive source rows with NO per-element wrap
-     test, so in-bounds there is exactly the unwrap precondition
-     base row <= m - maxres - bk (the [tmax] guard in the engine).
-     The scalar tail (strip remainder and head-wrap region) is the
-     guarded gather of [fine]. [bk]'s parameter bounds encode the
-     engine's own preconditions: the fast path only engages when a
-     full block of source rows sits above the wrap region
-     (bk <= m - maxres) and a strip hosts at least one full block
-     (bk <= block_rows). *)
-  let fine_mk =
-    let bk = var "bk" in
-    {
-      pass = "fused.rotate_fine_mk";
-      basis = Free_basis;
-      params =
-        panel_params
-        @ [
-            {
-              name = "block_rows";
-              p_lo = Const 1;
-              p_his = [];
-              sample = [ 1; 2; 3; 64 ];
-            };
-            {
-              name = "maxres";
-              p_lo = Const 1;
-              p_his = [ w -: num 1; m -: num 1 ];
-              sample = [ 1; 2; 3; 7 ];
-            };
-            {
-              name = "bk";
-              p_lo = Const 1;
-              p_his = [ var "block_rows"; m -: var "maxres" ];
-              sample = [ 1; 2; 8; 16 ];
-            };
-          ];
-      regions =
-        [
-          matrix;
-          { rname = "head"; size = w *: w };
-          { rname = "block"; size = var "block_rows" *: w };
-        ];
-      body =
-        [
-          (* head save, as in [fine] *)
-          for_ "r" (num 0) (var "maxres")
-            [
-              for_ "jj" (num 0) w
-                [
-                  read "matrix" ((var "r" *: n) +: lo +: var "jj");
-                  write "head" ((var "r" *: w) +: var "jj");
-                ];
-            ];
-          (* every strip slot of the block buffer, as in [fine] *)
-          for_ "t" (num 0) (Min (var "block_rows", m))
-            [
-              for_ "jj" (num 0) w
-                [
-                  write "block" ((var "t" *: w) +: var "jj");
-                  read "block" ((var "t" *: w) +: var "jj");
-                ];
-            ];
-          (* unguarded tile reads: a column mover at base row
-             i + res(jj) touches rows base .. base + bk - 1; the
-             unwrap precondition i <= m - maxres - bk keeps all of
-             them inside the matrix with no guard to fall back on *)
-          for_ "i" (num 0) (m -: var "maxres" -: bk +: num 1)
-            [
-              for_ "jj" (num 0) w
-                [
-                  for_ "resj" (num 0) (var "maxres" +: num 1)
-                    [
-                      for_ "q" (num 0) bk
-                        [
-                          read "matrix"
-                            (((var "i" +: var "resj" +: var "q") *: n)
-                            +: lo +: var "jj");
-                        ];
-                    ];
-                ];
-            ];
-          (* scalar tail: the guarded gather of [fine] *)
-          for_ "i2" (num 0) m
-            [
-              for_ "jj2" (num 0) w
-                [
-                  for_ "resj2" (num 0) (var "maxres" +: num 1)
-                    [
-                      bind "src2"
-                        (var "i2" +: var "resj2")
-                        [
-                          When
-                            ( le (var "src2") (m -: num 1),
-                              [
-                                read "matrix"
-                                  ((var "src2" *: n) +: lo +: var "jj2");
-                              ] );
-                          When
-                            ( le m (var "src2"),
-                              [
-                                read "head"
-                                  (((var "src2" -: m) *: w) +: var "jj2");
-                              ] );
-                        ];
-                    ];
-                ];
-            ];
-          (* strip writebacks (the mk path writes whole sub-rows via
-             the copy-span mover; same footprint) *)
-          for_ "i3" (num 0) m
-            [
-              for_ "jj3" (num 0) w
-                [ write "matrix" ((var "i3" *: n) +: lo +: var "jj3") ];
-            ];
-        ];
-      exact = false;
-    }
+  let panel_passes = [ coarse; fine; permute ]
 
-  let panel_passes = [ coarse; fine; fine_mk; permute ]
-
-  (* The full fused pipelines, serial or pool-chunked: panel phases plus
+  (* The full pipelines, serial or pool-chunked: panel phases plus
      the kernel row shuffles (and the kernel rotate as panel fallback),
      all already quantified over their sub-ranges. *)
   let c2r_passes =
     [
       coarse;
       fine;
-      fine_mk;
       permute;
       Passes.rotate_pre;
       Passes.col_rotate;
@@ -613,7 +491,6 @@ module Summary = struct
     [
       coarse;
       fine;
-      fine_mk;
       permute;
       Passes.rotate_post;
       Passes.col_unrotate;

@@ -18,9 +18,11 @@
     predicted touches use the panel-residency DRAM model of
     {!Xpose_core.Pass_cost.fused_col}.
 
-    {!Xpose_cpu.Fused_f64} is the monomorphic float64 twin of this
-    functor; {!Xpose_cpu.Cache_aware} re-exports the unfused sweeps with
-    its historical interface. *)
+    This functor is the element-generic reference: {!Xpose_cpu.Cache_aware}
+    re-exports its unfused sweeps with their historical interface, and
+    {!Xpose_cpu.Par_cache_aware} runs its fused visits on a pool. The
+    float64 fast path, {!Xpose_cpu.Fused_f64}, runs each column pass as
+    one stage-and-gather sweep instead. *)
 
 module Make (S : Xpose_core.Storage.S) : sig
   module Ws : module type of Xpose_core.Workspace.Make (S)
@@ -171,22 +173,13 @@ end
 (** Symbolic access summaries of the panel primitives (free basis:
     m, n >= 1; parameters w in [1, n], lo in [0, n - w], and the fine
     phase's block_rows >= 1 and maxres in [1, min(w, m) - 1]), shared
-    by every [Make] instantiation and by [Fused_f64]. The cycle-
+    by every [Make] instantiation. The cycle-
     following phases are proven supersets; [fine] keeps the head-wrap
     reads precise. *)
 module Summary : sig
   val panel_params : Xpose_core.Access.param list
   val coarse : Xpose_core.Access.summary
   val fine : Xpose_core.Access.summary
-
-  val fine_mk : Xpose_core.Access.summary
-  (** The micro-kernel tier's fine rotation: the fully-unwrapped tile
-      region's unguarded [bk]-row column movers (parameter [bk] in
-      [1, min(block_rows, m - maxres)] — the engine's own fast-path
-      preconditions) plus the guarded scalar tail. Certifying this
-      summary proves the unrolled movers in bounds {e without} the
-      wrap test the scalar path relies on. Pin [bk] at 8 or 16 for the
-      per-tier grid entries. *)
 
   val permute : Xpose_core.Access.summary
   val panel_passes : Xpose_core.Access.summary list

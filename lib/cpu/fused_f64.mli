@@ -1,27 +1,32 @@
-(** Pass-fused cache-blocked float64 engine — the fast path.
+(** The float64 transposition engine: the fast path.
 
-    The monomorphic twin of {!Fused.Make}[(Storage.Float64)], with every
-    panel primitive written directly over float64 bigarrays
-    ([unsafe_get]/[unsafe_set] loops, no [sub] views, no per-call scratch
-    allocation): this is the implementation a performance-conscious
-    caller should use for double-precision matrices, in the same spirit
-    as {!Xpose_core.Kernels_f64} versus [Algo.Make]. Semantics are
-    asserted identical to the element-generic oracle by the test suite.
+    The decomposed C2R sequence (pre-rotation when [gcd(m, n) > 1], row
+    shuffle, column shuffle) and its R2C inverse, written directly over
+    float64 bigarrays. The row passes are {!Xpose_core.Kernels_f64}'s
+    walk movers; every column pass ([rotate_pre], [fused_col],
+    [rotate_post]) is one stage-and-gather sweep
+    ({!Xpose_core.Kernels_f64.Phases.gather_cols}): each staging of at
+    most [w = stage_width ~m ~panel_width] columns is copied into the
+    lane's scratch in one row-order read sweep and written back through
+    the pass's map in one row-order write sweep. The [fused_col] pass
+    applies the paper's [s'] (rotation by [j] and row permutation [q],
+    Eqs. 26 and 32-33) in that one visit. Semantics are asserted
+    identical to the element-generic oracle by the test suite.
 
     Three ways to run it:
     - serial: {!c2r}/{!r2c}/{!transpose} — one domain, one workspace;
     - panel-parallel: {!c2r_pool}/{!r2c_pool}/{!transpose_pool} — one
-      matrix, panels partitioned across a {!Pool};
+      matrix, whole stagings partitioned across a {!Pool};
     - batched: {!transpose_batch} — many same-shape matrices, fanned
       matrix-parallel across the pool (or panel-parallel per matrix when
       the batch is smaller than the pool).
 
     All engines take scratch from a {!Xpose_core.Workspace.F64} (created
-    per call when omitted) and memoize plans through
+    per call when omitted): a lane's staging holds at most
+    [max m Kernels_f64.stage_elems] elements. Plans are memoized through
     {!Xpose_core.Plan.Cache}. Observability: one "pass" span per logical
     pass ([rotate_pre] / [row_shuffle] / [fused_col] and inverses), one
-    "panel" span per panel visit, with predicted touches from the
-    panel-residency model in {!Xpose_core.Pass_cost}.
+    "panel" span per staging.
 
     {!Checked} is the checked-access shadow mode: the same engine with
     every access bounds-verified
@@ -32,87 +37,36 @@ type buf = Xpose_core.Storage.Float64.t
 module Ws = Xpose_core.Workspace.F64
 
 val default_width : int
-val default_block_rows : int
+(** 16: the staging width cap ([?panel_width] default). *)
 
 val supported_widths : int list
 (** The panel widths the autotuner searches and the check layer
     verifies; any positive [?panel_width] remains accepted and
     correct. *)
 
-val cycles : m:int -> index:(int -> int) -> int array array
-(** Nontrivial cycles of [row_i <- row_{index i}] in gather-chain order;
-    shared by every panel (and by every worker of a pool run).
-    @raise Invalid_argument if [index] is not a permutation of
-    [[0, m)]. *)
-
 (** The full engine surface, satisfied by both the raw top-level
     operations and the {!Checked} shadow-mode twin. *)
 module type ENGINE = sig
-  (** {1 Sweeps and fused visits}
+  (** {1 Column pass} *)
 
-      Same contracts as the corresponding {!Fused.Make} operations, over
-      the column range [[lo, hi)] (default all columns). *)
-
-  val rotate_columns :
+  val gather_cols :
     ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
     Xpose_core.Plan.t ->
     buf ->
-    amount:(int -> int) ->
+    Xpose_core.Kernels_f64.col_map ->
     unit
-
-  val permute_cols :
-    ?panel_width:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
-    ?ws:Ws.t ->
-    ?lo:int ->
-    ?hi:int ->
-    Xpose_core.Plan.t ->
-    buf ->
-    cycles:int array array ->
-    unit
-
-  val c2r_cols :
-    ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
-    ?ws:Ws.t ->
-    ?lo:int ->
-    ?hi:int ->
-    Xpose_core.Plan.t ->
-    buf ->
-    cycles:int array array ->
-    unit
-  (** One panel visit = rotate by [j] + permute by the cycles of
-      [Plan.q]. *)
-
-  val r2c_cols :
-    ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
-    ?ws:Ws.t ->
-    ?lo:int ->
-    ?hi:int ->
-    Xpose_core.Plan.t ->
-    buf ->
-    cycles:int array array ->
-    unit
-  (** One panel visit = permute by the cycles of [Plan.q_inv] + rotate by
-      [-j]. *)
+  (** One column pass over the column range [[lo, hi)] (default all
+      columns), in stagings of [stage_width ~m ~panel_width] columns.
+      @raise Invalid_argument on a bad range. *)
 
   (** {1 Serial engines}
 
-      [tier] (default [Scalar]) selects the inner-loop kernel tier of
-      the panel passes: under [Mk8]/[Mk16] the fine-phase gather walks
-      8x8 / 16x16 block tiles through the fully unrolled
-      {!Xpose_core.Microkernel} movers (scalar tail for edge blocks and
-      the head-wrap region) and sub-row moves go through the unrolled
-      span copies. Every tier computes the identical result — the
-      autotuner picks the fastest per shape. *)
+      [panel_width] (default 16) caps the staging width. [block_rows]
+      and [tier] are accepted and ignored: the staged column passes
+      have no strip height or micro-kernel tier to select. *)
 
   val c2r :
     ?panel_width:int ->
@@ -230,6 +184,14 @@ module Checked : ENGINE
     instead of corrupting memory. Selected by tests (run the suite once
     under checking) and by [xpose check --shadow]. *)
 
-module Summary = Fused.Summary
-(** {!Fused.Summary}: the specialized engine runs the same loop bodies,
-    so it shares the same symbolic access summaries. *)
+module Summary : sig
+  val c2r_passes : Xpose_core.Access.summary list
+  (** Every summary the C2R pipeline runs: the staged rotation and
+      shuffle and the walk row shuffle, each sub-range quantified so the
+      serial, pool and batch schedules are all covered. *)
+
+  val r2c_passes : Xpose_core.Access.summary list
+
+  val all : Xpose_core.Access.summary list
+  (** The three stage-and-gather summaries. *)
+end

@@ -147,10 +147,11 @@ let row_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~ungather =
 (* -- column phases ---------------------------------------------------------
 
    The stride-[n] passes run on a contiguous [m x w] staging per column
-   panel, filled and drained through bounded row stripes. [visit] gets a
-   local plan whose pitch is the panel width and the panel's global
-   column base, so rotation amounts are taken at global indices while
-   the fused primitives index the staging. *)
+   panel, filled and drained through bounded row stripes. On the staging
+   the pool runs the in-RAM column pass itself
+   ({!Kernels_f64.Phases.gather_cols}) with the staging's width as pitch
+   and its first global column as [col0], so the maps see global columns
+   while the buffer holds only the panel; lanes take whole stagings. *)
 
 let gather_panel ~led ~s_per (p : Plan.t) fd (pan : Window.t) (stag : buf) =
   let w = pan.Window.hi - pan.Window.lo in
@@ -186,7 +187,7 @@ let scatter_panel ~led ~s_per (p : Plan.t) fd (pan : Window.t) (stag : buf) =
       unmap_counted led ~len)
     (Window.split ~total:p.m ~per:s_per)
 
-let col_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~pred visit =
+let col_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~pred map =
   Xpose_obs.Tracer.pass ~name ~rows:p.m ~cols:p.n ~pred_touches:pred
     ~scratch_elems:(Plan.scratch_elements p)
   @@ fun () ->
@@ -202,14 +203,22 @@ let col_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~pred visit =
   in
   let gather = gather_panel ~led ~s_per p fd
   and scatter = scatter_panel ~led ~s_per p fd in
+  let map = map () in
+  let sw = Kernels_f64.stage_width ~m:p.m ~panel_width:FF.default_width in
   let compute (pan : Window.t) stag =
     let w = pan.Window.hi - pan.Window.lo in
     span_window ~rows:p.m ~cols:w ~pred:(Pass_cost.ooc_panel_window p ~width:w)
       (fun () ->
-        let p_loc = Plan.make ~m:p.m ~n:w in
-        Pool.parallel_chunks pool ~lo:0 ~hi:w (fun ~chunk ~lo ~hi ->
+        Pool.parallel_chunks pool ~lo:0 ~hi:(Intmath.ceil_div w sw)
+          (fun ~chunk ~lo ~hi ->
+            let lo = pan.Window.lo + (lo * sw)
+            and hi = min pan.Window.hi (pan.Window.lo + (hi * sw)) in
             if lo < hi then
-              visit ~p_loc ~glo:pan.Window.lo ~ws:wss.(chunk) ~lo ~hi stag))
+              let ws = wss.(chunk) in
+              Kernels_f64.Phases.gather_cols p stag
+                ~stage:(Ws.tmp ws (p.m * sw))
+                ~idx:(Ws.idx ws sw) ~map ~pitch:w ~col0:pan.Window.lo
+                ~width:sw ~lo ~hi))
   in
   match io with
   | None ->
@@ -289,37 +298,29 @@ let transpose_file ?(order = Layout.Row_major) ?(pool = Pool.sequential)
     with_io @@ fun io ->
     let row_pass = row_pass ~led ~io ~pool ~wss ~budget p fd in
     let col_pass = col_pass ~led ~io ~pool ~wss ~budget p fd in
-    let rotate ~sign ~p_loc ~glo ~ws ~lo ~hi stag =
-      FF.rotate_columns ~ws ~lo ~hi p_loc stag ~amount:(fun jj ->
-          sign * Plan.rotate_amount p (glo + jj))
+    let rotate_pred ~amount =
+      Pass_cost.panel_rotate p
+        ~width:(Window.panel_cols ~budget_elems:budget ~m:p.m)
+        ~amount
     in
     if c2r_side then begin
-      if not (Plan.coprime p) then
-        col_pass ~name:"ooc.rotate_pre"
-          ~pred:(Pass_cost.panel_rotate p ~width:(Window.panel_cols ~budget_elems:budget ~m:p.m)
-                   ~amount:(Plan.rotate_amount p))
-          (fun ~p_loc ~glo ~ws ~lo ~hi stag ->
-            rotate ~sign:1 ~p_loc ~glo ~ws ~lo ~hi stag);
+      if not (Plan.coprime p) then begin
+        let amount = Plan.rotate_amount p in
+        col_pass ~name:"ooc.rotate_pre" ~pred:(rotate_pred ~amount) (fun () ->
+            Kernels_f64.rotate amount)
+      end;
       row_pass ~name:"ooc.row_shuffle" ~ungather:false;
-      let cycles = FF.cycles ~m:p.m ~index:(Plan.q p) in
-      col_pass ~name:"ooc.fused_col" ~pred:(Pass_cost.fused_col p)
-        (fun ~p_loc ~glo ~ws ~lo ~hi stag ->
-          FF.rotate_columns ~ws ~lo ~hi p_loc stag ~amount:(fun jj -> glo + jj);
-          FF.permute_cols ~ws ~lo ~hi p_loc stag ~cycles)
+      col_pass ~name:"ooc.fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
+          Kernels_f64.shuffle p)
     end
     else begin
-      let cycles = FF.cycles ~m:p.m ~index:(Plan.q_inv p) in
-      col_pass ~name:"ooc.fused_col" ~pred:(Pass_cost.fused_col p)
-        (fun ~p_loc ~glo ~ws ~lo ~hi stag ->
-          FF.permute_cols ~ws ~lo ~hi p_loc stag ~cycles;
-          FF.rotate_columns ~ws ~lo ~hi p_loc stag ~amount:(fun jj ->
-              -(glo + jj)));
+      col_pass ~name:"ooc.fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
+          Kernels_f64.unshuffle p);
       row_pass ~name:"ooc.row_unshuffle" ~ungather:true;
-      if not (Plan.coprime p) then
-        col_pass ~name:"ooc.rotate_post"
-          ~pred:(Pass_cost.panel_rotate p ~width:(Window.panel_cols ~budget_elems:budget ~m:p.m)
-                   ~amount:(Plan.rotate_amount p))
-          (fun ~p_loc ~glo ~ws ~lo ~hi stag ->
-            rotate ~sign:(-1) ~p_loc ~glo ~ws ~lo ~hi stag)
+      if not (Plan.coprime p) then begin
+        let amount j = -Plan.rotate_amount p j in
+        col_pass ~name:"ooc.rotate_post" ~pred:(rotate_pred ~amount) (fun () ->
+            Kernels_f64.rotate amount)
+      end
     end
   end

@@ -14,11 +14,12 @@
     - the {e column phases} (stride-[n] access) are blocked into
       width-bounded column panels: each panel is gathered through
       bounded row stripes into a contiguous RAM staging, permuted there
-      with the fused engine's panel primitives
-      ({!Xpose_cpu.Fused_f64.rotate_columns} /
-      {!Xpose_cpu.Fused_f64.permute_cols} on a local [m x w] plan, with
-      rotation amounts taken at global column indices), and scattered
-      back.
+      by the in-RAM stage-and-gather column pass
+      ({!Xpose_core.Kernels_f64.Phases.gather_cols}, with the panel's
+      width as row pitch and its first global column as [col0], so the
+      maps see global columns), and scattered back. The pool splits a
+      panel's columns into whole stagings of
+      {!Xpose_core.Kernels_f64.stage_width} columns.
 
     With [prefetch] (the default) a dedicated {!Io_domain} maps and
     pre-faults window [k+1] — and scatters back finished panel [k-1] —

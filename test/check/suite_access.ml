@@ -15,7 +15,8 @@ let contains s sub =
 
 (* Map a checked access (who/what) to the summary's region name. *)
 let region_of ~who ~what =
-  if contains who "Kernels_f64" then
+  if contains what "stage" then "stage"
+  else if contains who "Kernels_f64" then
     if contains what "scratch" then "tmp" else "matrix"
   else if contains what "line" then "line"
   else if contains what "head" then "head"
@@ -199,46 +200,35 @@ let test_window_rows_grid () =
       done)
     [ (2, 2); (3, 5); (5, 3); (4, 6); (6, 4); (9, 9); (7, 11); (12, 8) ]
 
-(* -- fused panel engine: trace inclusion --------------------------------
-   The panel summaries are proven supersets (the cycle structure visits
-   a subset of the summarized rows), so the check here is inclusion:
-   every access the checked fused engine performs must appear in the
-   union of the concretized panel summaries over the panels of the
-   sweep (plus the kernel summaries for the row shuffles and the
-   rotate fallback). *)
+(* -- the staged column passes: inclusion and coverage ----------------------
+   The stage summaries are supersets (a rotation quantifies its residue,
+   and the checked twin records no table reads), so the trace must fall
+   inside the concretized summary. And it must cover: each column pass
+   reads and writes every element of its columns and fills the stage, so
+   a checked engine that silently ran the raw movers (recording nothing)
+   fails here. *)
 
-let fused_allowed (p : Plan.t) ~width ~block_rows ~with_row_shuffles =
-  let m = p.m and n = p.n in
-  let base = Access.env_of_plan p in
-  let tbl = Hashtbl.create 4096 in
-  let add env s =
-    List.iter
-      (fun e -> Hashtbl.replace tbl e ())
-      (Access.concretize ~env s)
+let stage_cases (p : Plan.t) =
+  [
+    ("rotate_pre", Access.Passes.stage_rotate, Kernels_f64.rotate (Plan.rotate_amount p));
+    ("rotate_post", Access.Passes.stage_rotate,
+      Kernels_f64.rotate (fun j -> -Plan.rotate_amount p j));
+    ("shuffle", Access.Passes.stage_shuffle, Kernels_f64.shuffle p);
+    ("unshuffle", Access.Passes.stage_unshuffle, Kernels_f64.unshuffle p);
+  ]
+
+(* The environments of the stagings gather_cols cuts [lo, hi) into. *)
+let stage_envs (p : Plan.t) ~pitch ~col0 ~width ~lo ~hi =
+  let rec go j0 acc =
+    if j0 >= hi then List.rev acc
+    else
+      let w = min width (hi - j0) in
+      go (j0 + w)
+        (([ ("pitch", pitch); ("col0", col0); ("w", w); ("j0", j0) ]
+         @ Access.env_of_plan p)
+        :: acc)
   in
-  let groups = (n + width - 1) / width in
-  for g = 0 to groups - 1 do
-    let lo = g * width in
-    let w = min width (n - lo) in
-    let fenv =
-      ("w", w) :: ("lo", lo) :: ("block_rows", block_rows)
-      :: ("maxres", max 0 (min w m - 1))
-      :: ("bk", 8) :: base
-    in
-    List.iter (add fenv) Xpose_cpu.Fused.Summary.panel_passes;
-    (* fine_mk is parametric in the tier's block edge; panel_passes
-       concretized it at bk=8, cover the 16-row movers too. *)
-    add (("bk", 16) :: fenv) Xpose_cpu.Fused.Summary.fine_mk;
-    add
-      (("lo", lo) :: ("hi", lo + w) :: base)
-      (Access.Passes.rotate_any ())
-  done;
-  if with_row_shuffles then begin
-    let renv = ("lo", 0) :: ("hi", m) :: base in
-    add renv Access.Passes.row_shuffle_gather;
-    add renv Access.Passes.row_shuffle_ungather
-  end;
-  tbl
+  go lo []
 
 let check_included ~msg allowed trace =
   List.iter
@@ -248,61 +238,131 @@ let check_included ~msg allowed trace =
           (pp_events [ e ]))
     trace
 
-let check_fused ~m ~n ~width ~block_rows =
+let table_of envs_summaries =
+  let tbl = Hashtbl.create 4096 in
+  List.iter
+    (fun (env, s) ->
+      List.iter (fun e -> Hashtbl.replace tbl e ()) (Access.concretize ~env s))
+    envs_summaries;
+  tbl
+
+(* Every element of global columns [lo, hi) of the m x pitch buffer is
+   read and written, and the stage is written. *)
+let check_covers ~msg ~m ~pitch ~col0 ~lo ~hi trace =
+  let has kind region i =
+    List.mem { Access.e_region = region; e_kind = kind; e_index = i } trace
+  in
+  for i = 0 to m - 1 do
+    for j = lo to hi - 1 do
+      let ix = (i * pitch) + j - col0 in
+      if not (has Access.Read "matrix" ix && has Access.Write "matrix" ix) then
+        Alcotest.failf "%s: element (%d, %d) not moved through the checked pass"
+          msg i j
+    done
+  done;
+  if hi > lo && not (List.exists (fun (e : Access.event) -> e.e_region = "stage") trace)
+  then Alcotest.failf "%s: no stage access recorded" msg
+
+(* One checked column pass on an m x pitch buffer holding global columns
+   [col0, col0 + pitch) of the plan's matrix, over [lo, hi). *)
+let check_stage_pass (p : Plan.t) ~pitch ~col0 ~width ~lo ~hi =
+  let m = p.m in
+  let buf = f64 (m * pitch) and stage = f64 (m * width) in
+  let idx = Array.make width 0 in
+  List.iter
+    (fun (name, summary, map) ->
+      fill buf;
+      let trace =
+        with_trace (fun () ->
+            Kernels_f64.Checked.Phases.gather_cols p buf ~stage ~idx ~map ~pitch
+              ~col0 ~width ~lo ~hi)
+      in
+      let msg =
+        Printf.sprintf "%s m=%d n=%d pitch=%d col0=%d w=%d [%d,%d)" name m p.n
+          pitch col0 width lo hi
+      in
+      let envs = stage_envs p ~pitch ~col0 ~width ~lo ~hi in
+      check_included ~msg
+        (table_of (List.map (fun env -> (env, summary)) envs))
+        trace;
+      check_covers ~msg ~m ~pitch ~col0 ~lo ~hi trace)
+    (stage_cases p)
+
+let test_stage_grid () =
+  List.iter
+    (fun (m, n) ->
+      let p = Plan.make ~m ~n in
+      List.iter
+        (fun width ->
+          (* in RAM: the whole matrix, any sub-range *)
+          List.iter
+            (fun (lo, hi) -> check_stage_pass p ~pitch:n ~col0:0 ~width ~lo ~hi)
+            [ (0, n); (0, n / 2); (n / 2, n); (min n 1, min n 4) ];
+          (* out of core: a staging of columns [col0, col0 + pitch) *)
+          List.iter
+            (fun (col0, pitch) ->
+              if col0 + pitch <= n then
+                check_stage_pass p ~pitch ~col0 ~width ~lo:col0
+                  ~hi:(col0 + pitch))
+            [ (1, 2); (2, 3); (n / 2, n - (n / 2)) ])
+        [ 1; 2; 3; 16 ])
+    [ (2, 2); (3, 5); (5, 3); (4, 6); (8, 12); (9, 9); (7, 11); (16, 10) ]
+
+let fused_allowed (p : Plan.t) ~width =
+  let base = Access.env_of_plan p in
+  let envs = stage_envs p ~pitch:p.n ~col0:0 ~width ~lo:0 ~hi:p.n in
+  let renv = ("lo", 0) :: ("hi", p.m) :: base in
+  table_of
+    (List.concat_map
+       (fun env -> List.map (fun s -> (env, s)) Xpose_cpu.Fused_f64.Summary.all)
+       envs
+    @ [
+        (renv, Access.Passes.row_shuffle_gather);
+        (renv, Access.Passes.row_shuffle_ungather);
+      ])
+
+let check_fused ~m ~n ~width =
   let module FC = Xpose_cpu.Fused_f64.Checked in
   let p = Plan.make ~m ~n in
   let buf = f64 (m * n) in
-  let msg = Printf.sprintf "fused m=%d n=%d w=%d br=%d" m n width block_rows in
-  let allowed = fused_allowed p ~width ~block_rows ~with_row_shuffles:true in
-  let runs =
-    [
-      (fun () ->
-        FC.rotate_columns ~panel_width:width ~block_rows p buf
-          ~amount:(Plan.rotate_amount p));
-      (fun () ->
-        FC.rotate_columns ~panel_width:width ~block_rows p buf
-          ~amount:(fun j -> j));
-      (fun () ->
-        let cycles = Xpose_cpu.Fused_f64.cycles ~m ~index:(Plan.q p) in
-        FC.permute_cols ~panel_width:width p buf ~cycles);
-      (fun () -> FC.c2r ~panel_width:width ~block_rows p buf);
-      (fun () -> FC.r2c ~panel_width:width ~block_rows p buf);
-      (fun () ->
-        FC.c2r ~panel_width:width ~block_rows ~tier:Tune_params.Mk8 p buf);
-      (fun () ->
-        FC.c2r ~panel_width:width ~block_rows ~tier:Tune_params.Mk16 p buf);
-      (fun () ->
-        FC.r2c ~panel_width:width ~block_rows ~tier:Tune_params.Mk16 p buf);
-    ]
-  in
+  let w = Kernels_f64.stage_width ~m ~panel_width:width in
+  let msg = Printf.sprintf "fused m=%d n=%d w=%d" m n width in
+  let allowed = fused_allowed p ~width:w in
+  List.iter
+    (fun (name, _, map) ->
+      fill buf;
+      let trace = with_trace (fun () -> FC.gather_cols ~panel_width:width p buf map) in
+      check_included ~msg:(msg ^ " " ^ name) allowed trace;
+      check_covers ~msg:(msg ^ " " ^ name) ~m ~pitch:n ~col0:0 ~lo:0 ~hi:n trace)
+    (stage_cases p);
   List.iter
     (fun run ->
       fill buf;
-      check_included ~msg allowed (with_trace run))
-    runs
+      let trace = with_trace run in
+      check_included ~msg allowed trace;
+      if m > 1 && n > 1
+         && not (List.exists (fun (e : Access.event) -> e.e_region = "stage") trace)
+      then Alcotest.failf "%s: the checked engine staged nothing" msg)
+    [
+      (fun () -> FC.c2r ~panel_width:width p buf);
+      (fun () -> FC.r2c ~panel_width:width p buf);
+      (fun () -> FC.c2r ~panel_width:width ~tier:Tune_params.Mk16 p buf);
+    ]
 
 let test_fused_grid () =
   List.iter
     (fun (m, n) ->
-      List.iter
-        (fun width ->
-          check_fused ~m ~n ~width ~block_rows:3;
-          check_fused ~m ~n ~width ~block_rows:64)
-        [ 2; 3; 8; 16 ])
+      List.iter (fun width -> check_fused ~m ~n ~width) [ 2; 3; 8; 16 ])
     [ (2, 2); (3, 5); (5, 3); (4, 6); (8, 12); (9, 9); (7, 11); (16, 10) ]
 
 let test_fused_random =
   QCheck.Test.make ~count:40 ~name:"random shapes: fused traces included"
     QCheck.(
       make
-        ~print:(fun ((m, n), (w, br)) ->
-          Printf.sprintf "m=%d n=%d width=%d block_rows=%d" m n w br)
-      QCheck.Gen.(
-        pair
-          (pair (int_range 1 20) (int_range 1 20))
-          (pair (int_range 1 17) (int_range 1 8))))
-    (fun ((m, n), (width, block_rows)) ->
-      check_fused ~m ~n ~width ~block_rows;
+        ~print:(fun ((m, n), w) -> Printf.sprintf "m=%d n=%d width=%d" m n w)
+        QCheck.Gen.(pair (pair (int_range 1 20) (int_range 1 20)) (int_range 1 17)))
+    (fun ((m, n), width) ->
+      check_fused ~m ~n ~width;
       true)
 
 let shape_gen =
@@ -326,6 +386,8 @@ let tests =
     QCheck_alcotest.to_alcotest test_kernel_phases_random;
     Alcotest.test_case "windowed row passes = ooc summaries (grid)" `Quick
       test_window_rows_grid;
+    Alcotest.test_case "staged column passes: traces in and cover (grid)"
+      `Quick test_stage_grid;
     Alcotest.test_case "fused engine traces included in summaries (grid)"
       `Quick test_fused_grid;
     QCheck_alcotest.to_alcotest test_fused_random;

@@ -25,6 +25,7 @@ let test_grid_proves () =
       "barrier/row-chunks";
       "barrier/column-chunks";
       "barrier/panel-groups";
+      "barrier/stage-groups";
       "barrier/batch-slices";
       "barrier/block-slots";
       "barrier/ooc-windows";

@@ -6,6 +6,7 @@ let () =
       ("layout", Suite_layout.tests);
       ("plan", Suite_plan.tests);
       ("walk", Suite_walk.tests);
+      ("stage", Suite_stage.tests);
       ("storage", Suite_storage.tests);
       ("algo", Suite_algo.tests);
       ("trace", Suite_trace.tests);

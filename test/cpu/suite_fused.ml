@@ -138,27 +138,44 @@ let test_generic_fused_matches_oracle () =
     shapes
 
 let test_cols_match_sweeps () =
-  (* A fused panel visit over any sub-range equals the two sweeps over
-     that range — the fusion claim itself, at the primitive level. *)
+  (* The staged column pass over any sub-range equals the two sweeps
+     over that range: in C2R the rotation by j then the row permutation
+     q, in R2C the permutation q^-1 then the rotation by -j. *)
+  let module K = Kernels_f64.Phases in
   List.iter
     (fun (m, n) ->
       let p = Plan.make ~m ~n in
-      let cycles = Fused_f64.cycles ~m ~index:(Plan.q p) in
+      let tmp = S.create (Plan.scratch_elements p) in
       List.iter
         (fun (lo, hi) ->
-          let expected =
+          let sweeps first second =
             let buf = iota_buf (m * n) in
-            F.rotate_columns ~lo ~hi p buf ~amount:(fun j -> j);
-            F.permute_cols ~lo ~hi p buf ~cycles;
+            first buf;
+            second buf;
             buf_to_list buf
           in
-          let buf = iota_buf (m * n) in
-          F.c2r_cols ~lo ~hi p buf ~cycles;
+          let staged map =
+            let buf = iota_buf (m * n) in
+            F.gather_cols ~lo ~hi p buf map;
+            buf_to_list buf
+          in
           Alcotest.(check (list (float 0.0)))
-            (Printf.sprintf "c2r_cols %dx%d [%d,%d)" m n lo hi)
-            expected (buf_to_list buf))
+            (Printf.sprintf "c2r column phase %dx%d [%d,%d)" m n lo hi)
+            (sweeps
+               (fun buf ->
+                 K.rotate_columns p buf ~tmp ~amount:(fun j -> j) ~lo ~hi)
+               (fun buf -> K.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo ~hi))
+            (staged (Kernels_f64.shuffle p));
+          Alcotest.(check (list (float 0.0)))
+            (Printf.sprintf "r2c column phase %dx%d [%d,%d)" m n lo hi)
+            (sweeps
+               (fun buf ->
+                 K.permute_rows p buf ~tmp ~index:(Plan.q_inv p) ~lo ~hi)
+               (fun buf ->
+                 K.rotate_columns p buf ~tmp ~amount:(fun j -> -j) ~lo ~hi))
+            (staged (Kernels_f64.unshuffle p)))
         [ (0, n); (0, n / 2); (n / 2, n); (3, min n 21) ])
-    [ (48, 36); (37, 18); (40, 23) ]
+    [ (48, 36); (37, 18); (40, 23); (5, 40) ]
 
 let test_transpose_routes_and_caches () =
   let cache = Plan.Cache.create ~capacity:4 () in
@@ -430,6 +447,72 @@ let prop_tiers_agree =
       let scalar = run Tune_params.Scalar in
       run Tune_params.Mk8 = scalar && run Tune_params.Mk16 = scalar)
 
+(* The staging width depends on the shape: skinny shapes have the budget
+   cap it (w = 1 once m > stage_elems / 2), while large-gcd and coprime
+   near-square shapes take the panel width. Every path must transpose. *)
+let transposed ~m ~n buf =
+  let ok = ref true in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      if S.get buf ((j * m) + i) <> float_of_int ((i * n) + j) then ok := false
+    done
+  done;
+  !ok
+
+let staged_shape =
+  QCheck2.Gen.(
+    oneof
+      [
+        (* skinny: tall with 2..4 columns, either orientation *)
+        map3
+          (fun m n flip -> if flip then (n, m) else (m, n))
+          (int_range 1000 140_000) (int_range 2 4) bool;
+        (* large gcd: g * (a, b) *)
+        map2
+          (fun g (a, b) -> (g * a, g * b))
+          (int_range 1 40)
+          (oneofl [ (4, 3); (5, 3); (7, 4); (3, 5); (1, 1) ]);
+        (* coprime near-square *)
+        map (fun m -> (m, m + 1)) (int_range 2 90);
+      ])
+
+let prop_staged_paths =
+  QCheck2.Test.make ~name:"staged passes: serial, pool and batch paths"
+    ~count:25
+    ~print:(fun ((m, n), lanes) -> Printf.sprintf "%dx%d lanes=%d" m n lanes)
+    QCheck2.Gen.(pair staged_shape (int_range 1 3))
+    (fun ((m, n), lanes) ->
+      let serial =
+        let buf = iota_buf (m * n) in
+        F.transpose ~m ~n buf;
+        transposed ~m ~n buf
+      in
+      serial
+      && with_pool lanes (fun pool ->
+             let buf = iota_buf (m * n) in
+             F.transpose_pool pool ~m ~n buf;
+             let bufs = Array.init 2 (fun _ -> iota_buf (m * n)) in
+             F.transpose_batch pool ~m ~n bufs;
+             transposed ~m ~n buf && Array.for_all (transposed ~m ~n) bufs))
+
+let test_single_column_stagings () =
+  (* m > stage_elems / 2: the budget caps every staging at one column. *)
+  let m = (Kernels_f64.stage_elems / 2) + 7 and n = 3 in
+  Alcotest.(check int) "one-column stagings" 1
+    (Kernels_f64.stage_width ~m ~panel_width:Fused_f64.default_width);
+  List.iter
+    (fun (m, n) ->
+      let buf = iota_buf (m * n) in
+      F.transpose ~m ~n buf;
+      Alcotest.(check bool) (Printf.sprintf "serial %dx%d" m n) true
+        (transposed ~m ~n buf);
+      with_pool 2 (fun pool ->
+          let buf = iota_buf (m * n) in
+          F.transpose_pool pool ~m ~n buf;
+          Alcotest.(check bool) (Printf.sprintf "pool %dx%d" m n) true
+            (transposed ~m ~n buf)))
+    [ (m, n); (n, m) ]
+
 let tests =
   [
     Alcotest.test_case "fused f64 c2r/r2c vs oracle" `Quick
@@ -460,4 +543,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_fused_equals_oracle;
     QCheck_alcotest.to_alcotest prop_r2c_inverts;
     QCheck_alcotest.to_alcotest prop_tiers_agree;
+    QCheck_alcotest.to_alcotest prop_staged_paths;
+    Alcotest.test_case "one-column stagings" `Quick
+      test_single_column_stagings;
   ]

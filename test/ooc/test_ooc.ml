@@ -209,6 +209,29 @@ let test_col_major_order () =
         ~path ~m ~n ();
       check_transposed ~m:n ~n:m path)
 
+(* Windows small enough that every column panel is only a few columns
+   wide: the staged column pass then runs on stagings narrower than its
+   16-column cap, with col0 at each panel's first column. 64x48 with an
+   8 KiB window is how the benchmark primes the engine. *)
+let test_narrow_stagings () =
+  List.iter
+    (fun (m, n, window_bytes) ->
+      let budget = Window.budget_elems ~window_bytes in
+      let rows = max m n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d: panels under 16 columns" m n)
+        true
+        (Window.panel_cols ~budget_elems:budget ~m:rows < 16);
+      List.iter
+        (fun prefetch ->
+          with_file ~elements:(m * n) (fun path ->
+              Xpose_cpu.Pool.with_pool ~workers:2 (fun pool ->
+                  Ooc_f64.transpose_file ~pool ~window_bytes ~prefetch ~path ~m
+                    ~n ());
+              check_transposed ~m ~n path))
+        [ false; true ])
+    [ (64, 48, 8192); (48, 64, 8192); (96, 60, 4096); (37, 101, 2048) ]
+
 (* -- residency and prefetch accounting ------------------------------------- *)
 
 let test_bounded_residency () =
@@ -297,6 +320,8 @@ let () =
             (run_oracle ~prefetch:false ~workers:3);
           Alcotest.test_case "fits in one window" `Quick test_fits_in_window;
           Alcotest.test_case "column-major order" `Quick test_col_major_order;
+          Alcotest.test_case "stagings narrower than 16 columns" `Quick
+            test_narrow_stagings;
         ] );
       ( "residency",
         [
