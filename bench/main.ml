@@ -37,16 +37,16 @@ let roundtrip_pair name fwd bwd =
 
 let table1_tests =
   let p = Plan.make ~m:bench_m ~n:bench_n in
-  let tmp () = S.create (Plan.scratch_elements p) in
-  let t1 = tmp () in
+  let t1 = S.create (Plan.scratch_elements p) in
+  let ws = Workspace.F64.create () in
   Test.make_grouped ~name:"table1_cpu"
     [
       roundtrip_pair "mkl_like_cycle_leader"
         (fun buf -> Mkl.imatcopy ~rows:bench_m ~cols:bench_n buf)
         (fun buf -> Mkl.imatcopy ~rows:bench_n ~cols:bench_m buf);
       roundtrip_pair "c2r_f64_kernels"
-        (fun buf -> Kernels_f64.c2r p buf ~tmp:t1)
-        (fun buf -> Kernels_f64.r2c p buf ~tmp:t1);
+        (fun buf -> Kernels_f64.c2r ~ws p buf)
+        (fun buf -> Kernels_f64.r2c ~ws p buf);
       roundtrip_pair "c2r_generic_functor"
         (fun buf -> A.c2r p buf ~tmp:t1)
         (fun buf -> A.r2c p buf ~tmp:t1);
@@ -170,6 +170,8 @@ let ablation_magic =
              done));
     ]
 
+(* The paper's C2R formulations (§4, §5.1), through the functor that
+   keeps them. *)
 let ablation_variants =
   let p = Plan.make ~m:bench_m ~n:bench_n in
   let tmp = S.create (Plan.scratch_elements p) in
@@ -177,8 +179,8 @@ let ablation_variants =
     let buf = f64_iota (bench_m * bench_n) in
     Test.make ~name
       (Staged.stage (fun () ->
-           Kernels_f64.c2r ~variant p buf ~tmp;
-           Kernels_f64.r2c p buf ~tmp))
+           A.c2r ~variant p buf ~tmp;
+           A.r2c p buf ~tmp))
   in
   Test.make_grouped ~name:"ablation_c2r_variants"
     [
@@ -206,8 +208,8 @@ let ablation_skinny =
 let ablation_cache_aware =
   (* Large enough that one column's cache lines overflow L2: the naive
      rotate then re-misses per element while the cache-aware one moves
-     whole sub-rows (§4.6). (This host's 260 MB LLC absorbs anything
-     smaller; the gap widens with matrices beyond the LLC.) *)
+     whole sub-rows (§4.6). (A large LLC absorbs anything smaller; the
+     gap widens with matrices beyond the LLC.) *)
   let m = 32768 and n = 128 in
   let p = Plan.make ~m ~n in
   let tmp = S.create (Plan.scratch_elements p) in
@@ -255,9 +257,8 @@ let extension_tests =
 
 let fused_tests =
   (* Non-coprime shape (gcd = 96) so every pass of the C2R sequence runs,
-     large enough that the column phase dominates: the fused engine saves
-     one full-matrix sweep over the unfused cache-aware passes, and both
-     should beat the decomposed per-column kernels. *)
+     large enough that the column phase dominates: the staged f64 engine
+     against the unfused cache-aware reference passes. *)
   let fm = 480 and fn = 384 in
   let p = Plan.make ~m:fm ~n:fn in
   let tmp = S.create (Plan.scratch_elements p) in
@@ -281,9 +282,6 @@ let fused_tests =
       roundtrip "cache_aware_functor"
         (fun buf -> Cache.c2r p buf ~tmp)
         (fun buf -> Cache.r2c p buf ~tmp);
-      roundtrip "kernels_decomposed"
-        (fun buf -> Kernels_f64.c2r ~variant:Algo.C2r_decomposed p buf ~tmp)
-        (fun buf -> Kernels_f64.r2c ~variant:Algo.R2c_decomposed p buf ~tmp);
       Test.make ~name:"plan_make"
         (Staged.stage (fun () -> ignore (Plan.make ~m:fm ~n:fn)));
       Test.make ~name:"plan_cache_hit"
@@ -494,7 +492,38 @@ let json_escape s =
 let json_float x =
   if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
 
-let write_json ~file ~quick ~roofline rows =
+(* The work counters of one untimed run of every benchmark, from a reset
+   registry: bechamel's iteration counts depend on its time quota and
+   the machine, so counters taken after the timed runs scale with the
+   engine's speed rather than with the work it does. The prefetch
+   hit/wait split records which side of a race won, not work done, so
+   it is left out. *)
+let timing_dependent = [ "ooc.prefetch_hits"; "ooc.prefetch_waits" ]
+
+let counters_of_one_run tests =
+  Xpose_obs.Metrics.reset ();
+  List.iter
+    (fun elt ->
+      match Test.Elt.fn elt with
+      | Test.V { fn; kind = Test.Uniq; allocate; free } ->
+          let r = allocate () in
+          ignore (fn `Init (Test.Uniq.prj r));
+          free r
+      | Test.V { fn; kind = Test.Multiple; allocate; free } ->
+          let r = allocate 1 in
+          Array.iter (fun v -> ignore (fn `Init v)) (Test.Multiple.prj r);
+          free r)
+    (Test.elements tests);
+  List.filter_map
+    (fun (name, v) ->
+      match v with
+      | Xpose_obs.Metrics.Counter c when not (List.mem name timing_dependent)
+        ->
+          Some (name, c)
+      | _ -> None)
+    (Xpose_obs.Metrics.dump ())
+
+let write_json ~file ~quick ~roofline ~counters rows =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"suite\": \"xpose\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
@@ -509,14 +538,6 @@ let write_json ~file ~quick ~roofline rows =
         | _ -> "null"))
     rows;
   Buffer.add_string b "\n  ],\n  \"counters\": {\n";
-  let counters =
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Xpose_obs.Metrics.Counter c -> Some (name, c)
-        | _ -> None)
-      (Xpose_obs.Metrics.dump ())
-  in
   List.iteri
     (fun i (name, c) ->
       if i > 0 then Buffer.add_string b ",\n";
@@ -580,7 +601,8 @@ let () =
       Benchmark.cfg ~limit:20 ~quota:(Time.second 0.005) ~stabilize:false ()
     else Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:true ()
   in
-  let raw = Benchmark.all benchmark_cfg instances (select_tests ~only:!only) in
+  let tests = select_tests ~only:!only in
+  let raw = Benchmark.all benchmark_cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
@@ -599,7 +621,8 @@ let () =
       rows
   in
   let roofline = roofline_report cal in
-  write_json ~file:!out ~quick ~roofline:(Some roofline) estimates;
+  let counters = counters_of_one_run tests in
+  write_json ~file:!out ~quick ~roofline:(Some roofline) ~counters estimates;
   Printf.printf "wrote %s (%d benchmarks, %d roofline passes)\n" !out
     (List.length estimates)
     (List.length roofline.Xpose_obs.Report.passes)

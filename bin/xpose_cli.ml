@@ -255,17 +255,16 @@ let plan_cmd =
   cmd (Cmd.info "plan" ~doc) Term.(const run $ m_arg $ n_arg)
 
 (* Engine selection shared by bench and report: [functor] is the
-   element-generic Algo functor, [kernels] the specialized float64
-   kernels, [decomposed] the same kernels with the §4.1 decomposed
-   column passes (separate col_rotate / row_permute sweeps), [cache]
-   the cache-aware §4.6/4.7 sweeps, [fused] the pass-fused panel
-   engine, [ooc] the windowed out-of-core engine (bench only: it
-   transposes a backing file under a --window-bytes residency budget). *)
+   element-generic Algo functor, [decomposed] the same functor with the
+   §4.1 decomposed column passes (separate col_rotate / row_permute
+   sweeps), [cache] the cache-aware §4.6/4.7 sweeps (the reference for
+   the staged engine), [fused] the f64 engine, [ooc] the windowed
+   out-of-core engine (bench only: it transposes a backing file under a
+   --window-bytes residency budget). *)
 let engine_conv =
   Arg.enum
     [
       ("functor", `Functor);
-      ("kernels", `Kernels);
       ("decomposed", `Decomposed);
       ("cache", `Cache);
       ("fused", `Fused);
@@ -278,28 +277,10 @@ let engine_arg =
     value & opt engine_conv `Functor
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "One of functor, kernels, decomposed, cache, fused, ooc, tuned. \
-           The tuned engine looks the shape up in a tuning DB written by \
-           $(b,xpose tune) (pass --db) and runs whatever won there. See the \
-           bench suite for what each measures.")
-
-(* Kernel tier of the fused engine's inner loops (scalar | mk8 | mk16).
-   Only the fused engine has the micro-kernel tier; the tuned engine
-   reads its tier from the DB entry instead. *)
-let tier_arg =
-  let tier_conv =
-    Arg.enum
-      (List.map
-         (fun t -> (Tune_params.tier_to_string t, t))
-         Tune_params.supported_tiers)
-  in
-  Arg.(
-    value & opt tier_conv Tune_params.Scalar
-    & info [ "tier" ] ~docv:"TIER"
-        ~doc:
-          "Inner-loop kernel tier of the fused engine: scalar, mk8 or mk16 \
-           (in-register 8x8 / 16x16 blocked column movers). Only meaningful \
-           with the fused engine; every tier computes the same result.")
+          "One of functor, decomposed, cache, fused, ooc, tuned. The tuned \
+           engine looks the shape up in a tuning DB written by $(b,xpose \
+           tune) (pass --db) and runs whatever won there. See the bench \
+           suite for what each measures.")
 
 module CA = Xpose_cpu.Cache_aware.Make (S)
 module ES = Xpose_tune.Engine_select
@@ -327,14 +308,11 @@ let db_arg =
 let transpose_engine ~engine ~algorithm ~m ~n buf =
   match engine with
   | `Functor -> transpose_buf ~algorithm ~order:Layout.Row_major ~m ~n buf
-  | `Kernels -> Kernels_f64.transpose ~m ~n buf
   | `Decomposed ->
       let tmp = S.create (max m n) in
       if m > n then
-        Kernels_f64.c2r ~variant:Algo.C2r_decomposed (Plan.make ~m ~n) buf ~tmp
-      else
-        Kernels_f64.r2c ~variant:Algo.R2c_decomposed (Plan.make ~m:n ~n:m) buf
-          ~tmp
+        F.c2r ~variant:Algo.C2r_decomposed (Plan.make ~m ~n) buf ~tmp
+      else F.r2c ~variant:Algo.R2c_decomposed (Plan.make ~m:n ~n:m) buf ~tmp
   | `Cache ->
       let tmp = S.create (max m n) in
       if m > n then CA.c2r (Plan.make ~m ~n) buf ~tmp
@@ -419,12 +397,10 @@ let bench_cmd =
             "Disable the ooc engine's I/O-domain double-buffered prefetch \
              (windows are mapped synchronously).")
   in
-  let run m n algorithm engine tier batch workers window_bytes no_prefetch db =
+  let run m n algorithm engine batch workers window_bytes no_prefetch db =
     if m < 1 || n < 1 then `Error (false, "dimensions must be positive")
     else if batch < 1 then `Error (false, "batch must be >= 1")
     else if workers < 1 then `Error (false, "workers must be >= 1")
-    else if tier <> Tune_params.Scalar && engine <> `Fused then
-      `Error (false, "--tier selects the fused engine's kernels: use --engine fused")
     else if engine = `Ooc && batch > 1 then
       `Error (false, "the ooc engine has no batched path")
     else if engine = `Ooc && window_bytes < 8 then
@@ -456,14 +432,14 @@ let bench_cmd =
       (if batch = 1 && workers = 1 then
          (match (selector, engine) with
          | Some sel, _ -> ES.dispatch sel ~m ~n bufs.(0)
-         | None, `Fused -> Xpose_cpu.Fused_f64.transpose ~tier ~m ~n bufs.(0)
+         | None, `Fused -> Xpose_cpu.Fused_f64.transpose ~m ~n bufs.(0)
          | None, _ -> transpose_engine ~engine ~algorithm ~m ~n bufs.(0))
        else
          Xpose_cpu.Pool.with_pool ~workers (fun pool ->
              match (engine, selector) with
              | _, Some sel -> ES.dispatch_batch sel pool ~m ~n bufs
              | `Fused, None ->
-                 Xpose_cpu.Fused_f64.transpose_batch ~tier pool ~m ~n bufs
+                 Xpose_cpu.Fused_f64.transpose_batch pool ~m ~n bufs
              | _ ->
                  (* Other engines have no batched path: fan the serial
                     engine across the pool. *)
@@ -503,8 +479,8 @@ let bench_cmd =
   in
   cmd (Cmd.info "bench" ~doc)
     Term.(
-      const run $ m_arg $ n_arg $ algorithm_arg $ engine_arg $ tier_arg
-      $ batch_arg $ workers_arg $ window_bytes_arg $ no_prefetch_arg $ db_arg)
+      const run $ m_arg $ n_arg $ algorithm_arg $ engine_arg $ batch_arg
+      $ workers_arg $ window_bytes_arg $ no_prefetch_arg $ db_arg)
 
 let permute_cmd =
   let doc =
@@ -600,12 +576,10 @@ let report_cmd =
             "Omit the wall-clock-derived columns (measured time, relative \
              error, imbalance) so the output is deterministic.")
   in
-  let run m n algorithm engine tier workers repeats no_times =
+  let run m n algorithm engine workers repeats no_times =
     if m < 1 || n < 1 then `Error (false, "dimensions must be positive")
     else if workers < 1 then `Error (false, "workers must be >= 1")
     else if repeats < 1 then `Error (false, "repeats must be >= 1")
-    else if tier <> Tune_params.Scalar && engine <> `Fused then
-      `Error (false, "--tier selects the fused engine's kernels: use --engine fused")
     else begin
       let module PT = Xpose_cpu.Par_transpose.Make (S) in
       let module FF = Xpose_cpu.Fused_f64 in
@@ -619,15 +593,15 @@ let report_cmd =
       in
       match (algorithm, engine) with
       | `Cycle, _ -> `Error (false, "report: algorithm must be c2r or r2c")
-      | _, (`Kernels | `Decomposed | `Cache | `Ooc | `Tuned) ->
+      | _, (`Decomposed | `Cache | `Ooc | `Tuned) ->
           `Error (false, "report: engine must be functor or fused")
       | (`C2r | `R2c) as algorithm, ((`Functor | `Fused) as engine) ->
           let transpose_once pool buf =
             match (engine, algorithm) with
             | `Functor, `C2r -> PT.c2r pool (Plan.make ~m ~n) buf
             | `Functor, `R2c -> PT.r2c pool (Plan.make ~m:n ~n:m) buf
-            | `Fused, `C2r -> FF.c2r_pool ~tier pool (Plan.make ~m ~n) buf
-            | `Fused, `R2c -> FF.r2c_pool ~tier pool (Plan.make ~m:n ~n:m) buf
+            | `Fused, `C2r -> FF.c2r_pool pool (Plan.make ~m ~n) buf
+            | `Fused, `R2c -> FF.r2c_pool pool (Plan.make ~m:n ~n:m) buf
           in
           let buf = S.create (m * n) in
           let best = ref None in
@@ -670,8 +644,8 @@ let report_cmd =
   in
   cmd (Cmd.info "report" ~doc)
     Term.(
-      const run $ m_arg $ n_arg $ algorithm_arg $ engine_arg $ tier_arg
-      $ workers_arg $ repeats_arg $ no_times_arg)
+      const run $ m_arg $ n_arg $ algorithm_arg $ engine_arg $ workers_arg
+      $ repeats_arg $ no_times_arg)
 
 let check_cmd =
   let doc =
@@ -1430,13 +1404,7 @@ let tune_cmd =
                 if ooc_windows = [] then Xpose_tune.Space.make ()
                 else
                   Xpose_tune.Space.make
-                    ~engines:
-                      [
-                        Tune_params.Kernels;
-                        Tune_params.Cache;
-                        Tune_params.Fused;
-                        Tune_params.Ooc;
-                      ]
+                    ~engines:[ Tune_params.Fused; Tune_params.Ooc ]
                     ~windows:ooc_windows ()
               in
               let tune_all pool =

@@ -1,6 +1,8 @@
 (* Out-of-core transposition: a matrix living in a file is transposed in
-   place in the file, with only max(m, n) doubles of RAM scratch — the
-   O(max(m,n)) auxiliary-space bound is what makes this practical.
+   place in the file, with at most max(m * w, m, n) doubles of RAM
+   scratch, where a column staging of w columns holds
+   m * w <= max(m, 2^18) doubles — the O(max(m,n)) auxiliary-space bound
+   plus a fixed staging budget is what makes this practical.
 
    Run with: dune exec examples/out_of_core.exe *)
 
@@ -19,12 +21,14 @@ let () =
         (float_of_int (m * n * 8) /. 1e6)
         path;
 
+      let ws = Xpose_core.Workspace.F64.create () in
       let t0 = Unix.gettimeofday () in
-      Xpose_mmap.File_matrix.transpose_file ~path ~m ~n ();
+      Xpose_mmap.File_matrix.transpose_file ~ws ~path ~m ~n ();
       let dt = Unix.gettimeofday () -. t0 in
       Printf.printf "transposed in place in the file in %.1f ms using %d \
                      doubles of RAM scratch\n"
-        (dt *. 1e3) (max m n);
+        (dt *. 1e3)
+        (Bigarray.Array1.dim (Xpose_core.Workspace.F64.tmp ws 0));
 
       Xpose_mmap.File_matrix.with_map ~write:false ~path (fun buf ->
           let ok = ref true in

@@ -50,12 +50,13 @@ let () =
   let m = 2000 and n = 1500 in
   let big = Storage.Float64.create (m * n) in
   Storage.fill_iota (module Storage.Float64) big;
+  let ws = Workspace.F64.create () in
   let t0 = Unix.gettimeofday () in
-  Kernels_f64.transpose ~m ~n big;
+  Kernels_f64.transpose ~ws ~m ~n big;
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf
     "\n%d x %d float64 transposed in place in %.1f ms (%.2f GB/s), using \
      only a %d-element scratch\n"
     m n (dt *. 1e3)
     (2.0 *. float_of_int (m * n * 8) /. (dt *. 1e9))
-    (max m n)
+    (Bigarray.Array1.dim (Workspace.F64.tmp ws 0))

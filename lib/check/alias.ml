@@ -212,7 +212,8 @@ let window_counterexample (splitter : Xpose_ooc.Window.splitter) :
 
 (* The split itself: [Pool.chunk_bounds] partitions [lo, hi) exactly,
    for every range and lane count. Everything the row/column drivers
-   run ([Par_transpose], [Par_f64], the ooc per-window shuffles)
+   run ([Par_transpose], the f64 pool drivers' row passes, the ooc
+   per-window shuffles)
    reduces to this split or a monotone image of it. *)
 let split_pool () =
   let any = add_pool range_ctx ~lo:(v "lo") ~hi:(v "hi") ~pair:false in
@@ -636,7 +637,7 @@ let region_discipline () =
     @ Xpose_cpu.Fused.Summary.panel_passes
     @ Xpose_cpu.Fused.Summary.c2r_passes
     @ Xpose_cpu.Fused.Summary.r2c_passes
-    @ Xpose_cpu.Fused_f64.Summary.all
+    @ Kernels_f64.stage_access
     @ Xpose_ooc.Ooc_access.all
   in
   let count = ref 0 in

@@ -12,7 +12,9 @@
    concrete counterexample shape by evaluating the summary on small
    shapes and sampled parameters; a found witness turns the failure
    into a definite refutation with a printable shape (this is how the
-   seeded [--seed-oob-static] summary is caught). *)
+   seeded [--seed-oob-static] summary is caught). The search is total
+   and bounded: a sample whose evaluation divides by zero is infeasible,
+   and at most [max_samples] samples are evaluated. *)
 
 open Xpose_core
 
@@ -190,6 +192,13 @@ let describe env (s : Access.summary) (e : Access.event) size =
     (match e.Access.e_kind with Access.Read -> "read" | Access.Write -> "write")
     e.Access.e_region e.Access.e_index size s.pass
 
+(* The search's budget: evaluated samples (full parameter assignments),
+   smallest shapes first. A failed proof of a many-parameter summary
+   otherwise evaluates tens of thousands of samples. *)
+let max_samples = 4096
+
+exception Budget_spent
+
 let find_counterexample (s : Access.summary) : string option =
   let basis_envs =
     List.map
@@ -199,39 +208,51 @@ let find_counterexample (s : Access.summary) : string option =
         | Access.Free_basis -> [ ("m", m); ("n", n) ])
       search_shapes
   in
+  (* A parameter value whose bounds divide by zero (say a width
+     [min(width, hi - j0)] at [hi = j0]) is infeasible, not a crash. *)
   let rec combos env params k =
     match params with
     | [] -> k env
     | (p : Access.param) :: rest ->
-        let lo = Access.eval env p.p_lo in
         let ok v =
-          v >= lo && List.for_all (fun u -> v <= Access.eval env u) p.p_his
+          match
+            v >= Access.eval env p.p_lo
+            && List.for_all (fun u -> v <= Access.eval env u) p.p_his
+          with
+          | ok -> ok
+          | exception Division_by_zero -> false
         in
         List.iter
           (fun v -> if ok v then combos ((p.name, v) :: env) rest k)
           (List.sort_uniq compare p.sample)
   in
+  let samples = ref 0 in
+  let check env =
+    if !samples >= max_samples then raise Budget_spent;
+    incr samples;
+    match
+      let sizes =
+        List.map
+          (fun (r : Access.region) -> (r.rname, Access.eval env r.size))
+          s.regions
+      in
+      (sizes, Access.concretize ~cap:200_000 ~env s)
+    with
+    | exception (Access.Too_many_accesses | Division_by_zero) -> ()
+    | sizes, events ->
+        List.iter
+          (fun (e : Access.event) ->
+            let size = List.assoc e.e_region sizes in
+            if e.e_index < 0 || e.e_index >= size then
+              raise (Found (describe env s e size)))
+          events
+  in
   try
-    List.iter
-      (fun env0 ->
-        combos env0 s.params (fun env ->
-            let sizes =
-              List.map
-                (fun (r : Access.region) -> (r.rname, Access.eval env r.size))
-                s.regions
-            in
-            match Access.concretize ~cap:200_000 ~env s with
-            | exception Access.Too_many_accesses -> ()
-            | events ->
-                List.iter
-                  (fun (e : Access.event) ->
-                    let size = List.assoc e.e_region sizes in
-                    if e.e_index < 0 || e.e_index >= size then
-                      raise (Found (describe env s e size)))
-                  events))
-      basis_envs;
+    List.iter (fun env0 -> combos env0 s.params check) basis_envs;
     None
-  with Found msg -> Some msg
+  with
+  | Found msg -> Some msg
+  | Budget_spent -> None
 
 (* -- the certificate grid ------------------------------------------------- *)
 
@@ -269,6 +290,8 @@ let certify ~subject (s : Access.summary) : result =
             counterexample = None;
           })
 
+(* The passes of the generic reference engines (Algo.Make, and the
+   unfused sweeps of Cache_aware): the row/column pipeline summaries. *)
 let kernel_results () =
   List.map
     (fun (s : Access.summary) ->
@@ -277,7 +300,7 @@ let kernel_results () =
 
 (* The panel primitives of the generic Fused.Make (the Cache engine's
    reference) and the stage-and-gather column passes of the f64
-   engines. Each summary is certified once for every width and again
+   engine. Each summary is certified once for every width and again
    pinned at each shipped width, so the certificate the autotuner's
    choice rests on is named in the grid (still no shape enumerated). *)
 let fused_results ~widths () =
@@ -290,7 +313,7 @@ let fused_results ~widths () =
                ~subject:(Printf.sprintf "%s w=%d" s.pass w)
                (Access.pin s "w" w))
            widths)
-    (Xpose_cpu.Fused.Summary.panel_passes @ Xpose_cpu.Fused_f64.Summary.all)
+    (Xpose_cpu.Fused.Summary.panel_passes @ Kernels_f64.stage_access)
 
 let ooc_results () =
   List.map
@@ -320,7 +343,7 @@ let pass_names (l : Access.summary list) =
 
 let engine_rollups results =
   let open Access.Passes in
-  let kernel_engines =
+  let functor_engines =
     List.concat_map
       (fun engine ->
         [
@@ -335,14 +358,21 @@ let engine_rollups results =
             ~passes:
               (pass_names (r2c Fused_inverse @ r2c Decomposed_inverse));
         ])
-      [ "functor"; "kernels"; "decomposed" ]
+      [ "functor"; "decomposed" ]
+  in
+  let kernels =
+    [
+      rollup results ~subject:"engine kernels c2r"
+        ~detail:"staged rotation and shuffle + walk row shuffle, all stagings"
+        ~passes:(pass_names Kernels_f64.c2r_access);
+      rollup results ~subject:"engine kernels r2c"
+        ~detail:
+          "staged unshuffle and rotation + walk row unshuffle, all stagings"
+        ~passes:(pass_names Kernels_f64.r2c_access);
+    ]
   in
   let panel_passes = pass_names Xpose_cpu.Fused.Summary.panel_passes in
-  let staged =
-    pass_names
-      (Xpose_cpu.Fused_f64.Summary.c2r_passes
-      @ Xpose_cpu.Fused_f64.Summary.r2c_passes)
-  in
+  let staged = pass_names (Kernels_f64.c2r_access @ Kernels_f64.r2c_access) in
   let fused =
     [
       rollup results ~subject:"engine cache"
@@ -386,10 +416,10 @@ let engine_rollups results =
            col0 = its first column)"
         ~passes:
           (pass_names Xpose_ooc.Ooc_access.all
-          @ pass_names Xpose_cpu.Fused_f64.Summary.all);
+          @ pass_names Kernels_f64.stage_access);
     ]
   in
-  kernel_engines @ fused @ batch @ ooc
+  functor_engines @ kernels @ fused @ batch @ ooc
 
 let seeded_result () =
   certify ~subject:"seeded/rotate-oob"

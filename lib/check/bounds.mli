@@ -31,7 +31,10 @@ val certify_summary :
 
 val find_counterexample : Xpose_core.Access.summary -> string option
 (** Deterministic small-shape/sampled-parameter search for an access
-    outside its declared region; smallest area first. *)
+    outside its declared region; smallest area first. Total and bounded:
+    a sample whose evaluation divides by zero is infeasible and skipped,
+    and after a fixed number of evaluated samples the search gives up
+    ([None]). *)
 
 val certify : subject:string -> Xpose_core.Access.summary -> result
 

@@ -153,27 +153,11 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
   let panel_engine engine =
     match (engine : Spec.engine) with
     | Spec.Cache | Spec.Fused -> true
-    | Spec.Functor | Spec.Kernels | Spec.Decomposed -> false
+    | Spec.Functor | Spec.Decomposed -> false
   in
   let widths_of engine =
     if panel_engine engine then Tune_params.supported_widths
     else [ Footprint.default_panel_width ]
-  in
-  (* The kernel-tier axis exists only under the fused engine. A tier
-     reorders accesses {e within} one lane's own panel (the micro-kernel
-     walks block tiles through the same column group) and never moves
-     work across lanes, so every tier shares the panel barrier model;
-     the grid still names each tier so a seeded split is detected — and
-     a clean split proved — at every tier the autotuner can pick. *)
-  let tiers_of engine =
-    match (engine : Spec.engine) with
-    | Spec.Fused -> Tune_params.supported_tiers
-    | Spec.Cache | Spec.Functor | Spec.Kernels | Spec.Decomposed ->
-        [ Tune_params.Scalar ]
-  in
-  let tier_tag = function
-    | Tune_params.Scalar -> ""
-    | t -> Printf.sprintf "/%s" (Tune_params.tier_to_string t)
   in
   let engine_entries =
     List.concat_map
@@ -182,23 +166,19 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
           (fun engine ->
             List.concat_map
               (fun l ->
-                List.concat_map
+                List.filter_map
                   (fun width ->
-                    List.filter_map
-                      (fun tier ->
-                        let subject =
-                          if panel_engine engine then
-                            Printf.sprintf "%s%s w%d %dx%d @%d lanes"
-                              (Spec.engine_name engine) (tier_tag tier) width
-                              m n l
-                          else
-                            Printf.sprintf "%s %dx%d @%d lanes"
-                              (Spec.engine_name engine) m n l
-                        in
-                        race_entry ~subject ~seeded
-                          (Footprint.transpose_barriers ~split ~width ~engine
-                             ~lanes:l ~m ~n ()))
-                      (tiers_of engine))
+                    let subject =
+                      if panel_engine engine then
+                        Printf.sprintf "%s w%d %dx%d @%d lanes"
+                          (Spec.engine_name engine) width m n l
+                      else
+                        Printf.sprintf "%s %dx%d @%d lanes"
+                          (Spec.engine_name engine) m n l
+                    in
+                    race_entry ~subject ~seeded
+                      (Footprint.transpose_barriers ~split ~width ~engine
+                         ~lanes:l ~m ~n ()))
                   (widths_of engine))
               lanes)
           Spec.all_engines)
@@ -220,21 +200,16 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
               (fun nb ->
                 List.concat_map
                   (fun policy ->
-                    List.concat_map
+                    List.filter_map
                       (fun width ->
-                        List.filter_map
-                          (fun tier ->
-                            let subject =
-                              Printf.sprintf "batch[%d] %s w%d%s %dx%d @%d \
-                                              lanes"
-                                nb
-                                (Tune_params.split_to_string policy)
-                                width (tier_tag tier) m n l
-                            in
-                            race_entry ~subject ~seeded
-                              (Footprint.batch_barriers ~split ~policy ~width
-                                 ~lanes:l ~m ~n ~nb ()))
-                          Tune_params.supported_tiers)
+                        let subject =
+                          Printf.sprintf "batch[%d] %s w%d %dx%d @%d lanes" nb
+                            (Tune_params.split_to_string policy)
+                            width m n l
+                        in
+                        race_entry ~subject ~seeded
+                          (Footprint.batch_barriers ~split ~policy ~width
+                             ~lanes:l ~m ~n ~nb ()))
                       Tune_params.supported_widths)
                   batch_policies)
               [ 1; l; (2 * l) + 1 ])
@@ -320,67 +295,52 @@ let shadow_entry ~subject run =
 
 let shadow_entries ~shapes () =
   let small = List.filter (fun (m, n) -> m * n <= 1 lsl 16) shapes in
-  let kernels =
+  let per_shape kind run =
     List.map
       (fun (m, n) ->
-        shadow_entry ~subject:(Printf.sprintf "kernels %dx%d" m n) (fun () ->
-            let buf = iota_buf (m * n) in
-            Kernels_f64.Checked.transpose ~m ~n buf;
-            transposed_ok ~m ~n buf))
+        shadow_entry ~subject:(Printf.sprintf "%s %dx%d" kind m n) (fun () ->
+            run ~m ~n))
       small
   in
-  (* The fused shadow runs keep the kernel-tier axis the tuning DB and
-     CLI still accept: every tier runs the same checked staged column
-     passes, so the grid keeps its shape while the tier is a no-op. *)
-  let tier_tag = function
-    | Xpose_core.Tune_params.Scalar -> ""
-    | t -> Printf.sprintf "[%s]" (Xpose_core.Tune_params.tier_to_string t)
-  in
-  let per_tier kind run =
-    List.concat_map
-      (fun (m, n) ->
-        List.map
-          (fun tier ->
-            shadow_entry
-              ~subject:
-                (Printf.sprintf "%s%s %dx%d" kind (tier_tag tier) m n)
-              (fun () -> run ~tier ~m ~n))
-          Xpose_core.Tune_params.supported_tiers)
-      small
+  let kernels =
+    per_shape "kernels" (fun ~m ~n ->
+        let buf = iota_buf (m * n) in
+        Kernels_f64.Checked.transpose ~m ~n buf;
+        transposed_ok ~m ~n buf)
   in
   let fused =
-    per_tier "fused" (fun ~tier ~m ~n ->
+    per_shape "fused" (fun ~m ~n ->
         let buf = iota_buf (m * n) in
-        Xpose_cpu.Fused_f64.Checked.transpose ~tier ~m ~n buf;
+        Xpose_cpu.Fused_f64.Checked.transpose ~m ~n buf;
         transposed_ok ~m ~n buf)
   in
   let pool =
-    per_tier "fused-pool" (fun ~tier ~m ~n ->
+    per_shape "fused-pool" (fun ~m ~n ->
         let buf = iota_buf (m * n) in
-        Xpose_cpu.Fused_f64.Checked.transpose_pool ~tier
-          Xpose_cpu.Pool.sequential ~m ~n buf;
+        Xpose_cpu.Fused_f64.Checked.transpose_pool Xpose_cpu.Pool.sequential
+          ~m ~n buf;
         transposed_ok ~m ~n buf)
   in
   let batch =
-    per_tier "fused-batch" (fun ~tier ~m ~n ->
+    per_shape "fused-batch" (fun ~m ~n ->
         let bufs = Array.init 3 (fun _ -> iota_buf (m * n)) in
-        Xpose_cpu.Fused_f64.Checked.transpose_batch ~tier
-          Xpose_cpu.Pool.sequential ~m ~n bufs;
+        Xpose_cpu.Fused_f64.Checked.transpose_batch Xpose_cpu.Pool.sequential
+          ~m ~n bufs;
         Array.for_all (transposed_ok ~m ~n) bufs)
   in
   kernels @ fused @ pool @ batch
 
-(* The negative shadow test: rotate a column panel of an [m x n] matrix
+(* The negative shadow test: a checked row pass over an [m x n] matrix
    whose buffer is one element short. The raw kernel would read one slot
    past the end; the checked kernel must refuse. *)
 let seeded_oob_entry () =
   let m = 7 and n = 5 in
   let p = Plan.make ~m ~n in
   let buf = iota_buf ((m * n) - 1) in
-  let tmp = f64 m in
+  let tmp = f64 n and idx = Array.make n 0 in
   match
-    Kernels_f64.Checked.Phases.rotate_columns p buf ~tmp ~amount:(fun _ -> 1)
-      ~lo:0 ~hi:n
+    Kernels_f64.Checked.Phases.row_shuffle_gather p buf ~tmp ~idx ~row0:0
+      ~lo:0 ~hi:m
   with
   | () ->
       {

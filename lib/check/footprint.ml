@@ -234,7 +234,7 @@ let transpose_barriers ?(split = pool_split) ?(width = default_panel_width)
   let c2r_side = m > n in
   let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
   match (engine : Spec.engine) with
-  | Spec.Functor | Spec.Kernels ->
+  | Spec.Functor ->
       rowcol_engine_barriers ~split ~lanes ~decomposed:false p ~c2r_side
   | Spec.Decomposed ->
       rowcol_engine_barriers ~split ~lanes ~decomposed:true p ~c2r_side

@@ -91,7 +91,7 @@ val transpose_barriers :
   barrier list
 (** The barrier sequence the engine's parallel driver executes for an
     [m x n] transpose on [lanes] workers: row/column chunking for
-    [Functor]/[Kernels]/[Decomposed] ([Par_transpose] / [Par_f64]),
+    [Functor]/[Decomposed] ([Par_transpose]),
     width-aligned panel-group chunking for [Cache] and staging-width
     group chunking for [Fused]
     ([Par_cache_aware] / [Fused_f64] pool drivers). *)

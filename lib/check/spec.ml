@@ -1,12 +1,11 @@
 open Xpose_core
 
-type engine = Functor | Kernels | Decomposed | Cache | Fused
+type engine = Functor | Decomposed | Cache | Fused
 
-let all_engines = [ Functor; Kernels; Decomposed; Cache; Fused ]
+let all_engines = [ Functor; Decomposed; Cache; Fused ]
 
 let engine_name = function
   | Functor -> "functor"
-  | Kernels -> "kernels"
   | Decomposed -> "decomposed"
   | Cache -> "cache"
   | Fused -> "fused"
@@ -122,9 +121,10 @@ let r2c_model ?(variant = Algo.R2c_fused) (p : Plan.t) =
     in
     rotate_post p (head @ [ ("row_unshuffle", Passes.row_shuffle_ungather p) ])
 
-(* The fused engine performs the decomposed column work (rotate by j,
-   permute rows by q) panel-by-panel in one sweep; both sub-passes are
-   column-local, so the net map of the fused pass is their composition. *)
+(* The f64 engine (Kernels_f64, driven by Fused_f64) performs the
+   decomposed column work (rotate by j, permute rows by q) in one staged
+   sweep; both sub-passes are column-local, so the net map of the
+   fused_col pass is their composition. *)
 let fused_c2r_model (p : Plan.t) =
   if p.m = 1 || p.n = 1 then []
   else
@@ -162,7 +162,7 @@ let transpose_model engine ~m ~n =
   let c2r_side = m > n in
   let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
   match engine with
-  | Functor | Kernels ->
+  | Functor ->
       if c2r_side then c2r_model ~variant:Algo.C2r_gather p
       else r2c_model ~variant:Algo.R2c_fused p
   | Decomposed | Cache ->

@@ -10,8 +10,12 @@
 
 open Xpose_core
 
-(** The five transpose engines, named as on the [xpose] command line. *)
-type engine = Functor | Kernels | Decomposed | Cache | Fused
+(** The transpose engines, named as on the [xpose] command line:
+    [Functor] and [Decomposed] are [Algo.Make] with its default and
+    decomposed variants, [Cache] the cache-aware sweeps, [Fused] the f64
+    engine ([Kernels_f64], driven serially, pooled and batched by
+    [Fused_f64]). *)
+type engine = Functor | Decomposed | Cache | Fused
 
 val all_engines : engine list
 val engine_name : engine -> string
@@ -46,7 +50,7 @@ val r2c_model : ?variant:Algo.r2c_variant -> Plan.t -> (string * Perm.t) list
 
 val transpose_model : engine -> m:int -> n:int -> (string * Perm.t) list
 (** The pass sequence [transpose ~m ~n] executes on the given engine:
-    default variants for [Functor]/[Kernels], decomposed variants for
+    default variants for [Functor], decomposed variants for
     [Decomposed]/[Cache], and the fused column pass (symbolically the
     composition of its two column-local sub-passes) for [Fused]. *)
 

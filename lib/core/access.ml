@@ -314,7 +314,7 @@ module Passes = struct
         ];
     ]
 
-  (* Kernels_f64.Phases.rotate_columns with a concrete amount map. *)
+  (* Algo.Make.Phases.rotate_columns with a concrete amount map. *)
   let rotate ?(pass = "rotate") ?(tmp_size = Max (m, n)) amount =
     {
       pass;
@@ -512,8 +512,8 @@ module Passes = struct
         ])
 
   (* -- engine pipelines --------------------------------------------------
-     The row/column engines (Algo.Make, Kernels_f64, and the unfused
-     sweeps of Cache_aware) are the same pass pipeline; one summary list
+     The row/column engines (Algo.Make and the unfused sweeps of
+     Cache_aware) are the same pass pipeline; one summary list
      certifies them all. The pre/post rotations only run when
      gcd(m, n) > 1, but their summaries concretize to the empty set in
      the coprime case (the computed residue k is 0), so including them

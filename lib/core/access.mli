@@ -137,9 +137,10 @@ end
 
 (** {1 Summaries of the row/column kernel phases}
 
-    One summary per {!Kernels_f64.Phases} (= [Algo.Make] phase), each
-    quantified over its [lo]/[hi] sub-range so a single certificate
-    covers every pool chunking and batch lane. *)
+    One summary per [Algo.Make] phase (the paper's row/column passes),
+    each quantified over its [lo]/[hi] sub-range so a single certificate
+    covers every pool chunking and batch lane. The row shuffles are also
+    the summaries of {!Kernels_f64}'s walk row passes. *)
 
 module Passes : sig
   val matrix : region
@@ -147,7 +148,7 @@ module Passes : sig
   val range_params : exp -> param list
 
   val rotate : ?pass:string -> ?tmp_size:exp -> (exp -> exp) -> summary
-  (** [rotate amount] is [Kernels_f64.Phases.rotate_columns] with the
+  (** [rotate amount] is [Algo.Make.Phases.rotate_columns] with the
       given per-column amount map. *)
 
   val seeded_oob_rotate : (exp -> exp) -> summary

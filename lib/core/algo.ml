@@ -223,7 +223,7 @@ end
 (* -- access metadata -----------------------------------------------------
    The symbolic access summaries of the pipelines above, storage-
    independent by construction: Access.Passes mirrors the phase bodies
-   of this functor (and of Kernels_f64, which shares them) expression
+   of this functor (whose row shuffles Kernels_f64 shares) expression
    for expression. *)
 
 let c2r_access = function

@@ -121,8 +121,7 @@ end
 val c2r_access : c2r_variant -> Access.summary list
 (** The symbolic access summaries of the C2R pass pipeline for a
     variant, in pass order -- the proof obligations
-    [Xpose_check.Bounds] certifies for every [Make] instantiation and
-    for {!Kernels_f64} (which runs the same phase bodies). *)
+    [Xpose_check.Bounds] certifies for every [Make] instantiation. *)
 
 val r2c_access : r2c_variant -> Access.summary list
 (** R2C counterpart of {!c2r_access}. *)

@@ -2,12 +2,6 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 open Bigarray.Array1
 
-let check_args (p : Plan.t) (buf : buf) ~(tmp : buf) =
-  if dim buf <> p.m * p.n then
-    invalid_arg "Kernels_f64: buffer size does not match plan";
-  if dim tmp < Plan.scratch_elements p then
-    invalid_arg "Kernels_f64: scratch too small"
-
 (* -- column passes: stage and gather ---------------------------------------
 
    Every column pass gathers within columns: row i of column j takes row
@@ -140,23 +134,6 @@ module Phases = struct
         stage_in buf ~m:p.m ~pitch ~c ~w:cw.w stage;
         stage_out buf ~pitch ~c stage ~idx cw)
 
-  let rotate_columns (p : Plan.t) (buf : buf) ~(tmp : buf) ~amount ~lo ~hi =
-    let m = p.m and n = p.n in
-    for j = lo to hi - 1 do
-      let k = Intmath.emod (amount j) m in
-      if k <> 0 then begin
-        for i = 0 to m - k - 1 do
-          unsafe_set tmp i (unsafe_get buf (((i + k) * n) + j))
-        done;
-        for i = m - k to m - 1 do
-          unsafe_set tmp i (unsafe_get buf (((i + k - m) * n) + j))
-        done;
-        for i = 0 to m - 1 do
-          unsafe_set buf ((i * n) + j) (unsafe_get tmp i)
-        done
-      end
-    done
-
   (* Write the shuffled row in [tmp.(0..n-1)] back over row [i]. An
      explicit loop rather than [blit (sub tmp 0 n) (sub buf base n)]:
      the two [sub] views are heap allocations per row, which a batched
@@ -188,60 +165,7 @@ module Phases = struct
 
   let row_shuffle_gather = gather_rows ~inverse:true
   let row_shuffle_ungather = gather_rows ~inverse:false
-
-  let row_shuffle_scatter (p : Plan.t) (buf : buf) ~(tmp : buf) ~idx ~row0 ~lo
-      ~hi =
-    let n = p.n in
-    let w = Plan.walk p ~row:lo in
-    for i = lo to hi - 1 do
-      Plan.walk_d' w idx;
-      let base = (i - row0) * n in
-      for j = 0 to n - 1 do
-        unsafe_set tmp (Array.unsafe_get idx j) (unsafe_get buf (base + j))
-      done;
-      writeback_row buf ~tmp ~base ~n
-    done
-
-  let col_shuffle_gather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
-    let m = p.m and n = p.n in
-    for j = lo to hi - 1 do
-      for i = 0 to m - 1 do
-        unsafe_set tmp i (unsafe_get buf ((Plan.s' p ~j i * n) + j))
-      done;
-      for i = 0 to m - 1 do
-        unsafe_set buf ((i * n) + j) (unsafe_get tmp i)
-      done
-    done
-
-  let col_shuffle_ungather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
-    let m = p.m and n = p.n in
-    for j = lo to hi - 1 do
-      for i = 0 to m - 1 do
-        unsafe_set tmp i (unsafe_get buf ((Plan.s'_inv p ~j i * n) + j))
-      done;
-      for i = 0 to m - 1 do
-        unsafe_set buf ((i * n) + j) (unsafe_get tmp i)
-      done
-    done
-
-  let permute_rows (p : Plan.t) (buf : buf) ~(tmp : buf) ~index ~lo ~hi =
-    let m = p.m and n = p.n in
-    let idx = Array.init m index in
-    for j = lo to hi - 1 do
-      for i = 0 to m - 1 do
-        unsafe_set tmp i (unsafe_get buf ((Array.unsafe_get idx i * n) + j))
-      done;
-      for i = 0 to m - 1 do
-        unsafe_set buf ((i * n) + j) (unsafe_get tmp i)
-      done
-    done
 end
-
-(* Same per-pass observability hook as Algo.Make (one span per pass;
-   nothing per element, so the specialized kernels keep their speed). *)
-let obs_pass (p : Plan.t) name ~pred f =
-  Xpose_obs.Tracer.pass ~name ~rows:p.m ~cols:p.n ~pred_touches:pred
-    ~scratch_elems:(Plan.scratch_elements p) f
 
 type row_pass =
   Plan.t ->
@@ -255,130 +179,138 @@ type row_pass =
 
 module type PHASES = sig
   val gather_cols : col_pass
-
-  val rotate_columns :
-    Plan.t -> buf -> tmp:buf -> amount:(int -> int) -> lo:int -> hi:int -> unit
-
   val row_shuffle_gather : row_pass
-  val row_shuffle_scatter : row_pass
   val row_shuffle_ungather : row_pass
-  val col_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val col_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-
-  val permute_rows :
-    Plan.t -> buf -> tmp:buf -> index:(int -> int) -> lo:int -> hi:int -> unit
 end
+
+module Ws = Workspace.F64
+
+let default_width = Tune_params.default_panel_width
+
+(* Same per-pass observability hook as Algo.Make (one span per pass;
+   nothing per element, so the specialized kernels keep their speed). *)
+let obs_pass (p : Plan.t) name ~pred f =
+  Xpose_obs.Tracer.pass ~name ~rows:p.m ~cols:p.n ~pred_touches:pred
+    ~scratch_elems:(Plan.scratch_elements p) f
+
+let rotate_pred (p : Plan.t) ~width ~amount =
+  Pass_cost.panel_rotate p
+    ~width:(stage_width ~m:p.m ~panel_width:width)
+    ~amount
+
+let check_buf whom (p : Plan.t) (buf : buf) =
+  if dim buf <> p.m * p.n then
+    invalid_arg (whom ^ ": buffer size does not match plan")
+
+let get_ws = function Some ws -> ws | None -> Ws.create ()
 
 module type ENGINE = sig
-  val c2r :
-    ?variant:Algo.c2r_variant ->
-    ?idx:int array ->
+  val c2r_passes :
     Plan.t ->
-    buf ->
-    tmp:buf ->
+    width:int ->
+    cols:(col_map -> unit) ->
+    rows:(row_pass -> unit) ->
     unit
 
-  val r2c :
-    ?variant:Algo.r2c_variant ->
-    ?idx:int array ->
+  val r2c_passes :
+    Plan.t ->
+    width:int ->
+    cols:(col_map -> unit) ->
+    rows:(row_pass -> unit) ->
+    unit
+
+  val gather_cols :
+    ?panel_width:int ->
+    ?ws:Ws.t ->
+    ?lo:int ->
+    ?hi:int ->
     Plan.t ->
     buf ->
-    tmp:buf ->
+    col_map ->
     unit
+
+  val c2r : ?panel_width:int -> ?ws:Ws.t -> Plan.t -> buf -> unit
+  val r2c : ?panel_width:int -> ?ws:Ws.t -> Plan.t -> buf -> unit
 
   val transpose :
-    ?ws:Workspace.F64.t -> ?order:Layout.order -> m:int -> n:int -> buf -> unit
+    ?ws:Ws.t -> ?order:Layout.order -> m:int -> n:int -> buf -> unit
 end
 
-(* The walk's index row: the caller's, or one per call. *)
-let row_idx (p : Plan.t) = function
-  | Some idx -> idx
-  | None -> Array.make p.n 0
-
-(* The engine orchestration (pass order, variant dispatch, observability)
-   is written once and instantiated with both the raw and the checked
+(* The in-RAM pass order, written once over a column-pass runner [cols]
+   and a row-pass runner [rows] (serial here, pooled in the fused
+   engine's drivers) and instantiated with both the raw and the checked
    phases. Without flambda a functor application costs an indirect call,
-   but only one per *pass* — never per element — so the raw instantiation
-   keeps its specialized speed. *)
+   but only one per staging or per pass chunk -- never per element -- so
+   the raw instantiation keeps its specialized speed. *)
 module Engine_of (P : PHASES) = struct
-  let c2r ?(variant = Algo.C2r_gather) ?idx (p : Plan.t) buf ~tmp =
-    check_args p buf ~tmp;
-    let m = p.m and n = p.n in
-    if m = 1 || n = 1 then ()
-    else begin
-      let idx = row_idx p idx in
+  let c2r_passes (p : Plan.t) ~width ~cols ~rows =
+    if p.m > 1 && p.n > 1 then begin
       if not (Plan.coprime p) then begin
         let amount = Plan.rotate_amount p in
-        obs_pass p "rotate_pre" ~pred:(Pass_cost.rotate p ~amount) (fun () ->
-            P.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n)
+        obs_pass p "rotate_pre" ~pred:(rotate_pred p ~width ~amount) (fun () ->
+            cols (rotate amount))
       end;
-      (match variant with
-      | Algo.C2r_scatter ->
-          obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-              P.row_shuffle_scatter p buf ~tmp ~idx ~row0:0 ~lo:0 ~hi:m)
-      | Algo.C2r_gather | Algo.C2r_decomposed ->
-          obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-              P.row_shuffle_gather p buf ~tmp ~idx ~row0:0 ~lo:0 ~hi:m));
-      match variant with
-      | Algo.C2r_scatter | Algo.C2r_gather ->
-          obs_pass p "col_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-              P.col_shuffle_gather p buf ~tmp ~lo:0 ~hi:n)
-      | Algo.C2r_decomposed ->
-          let amount j = j in
-          obs_pass p "col_rotate" ~pred:(Pass_cost.rotate p ~amount) (fun () ->
-              P.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n);
-          obs_pass p "row_permute" ~pred:(Pass_cost.permute_rows p) (fun () ->
-              P.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo:0 ~hi:n)
+      obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
+          rows P.row_shuffle_gather);
+      obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
+          cols (shuffle p))
     end
 
-  let r2c ?(variant = Algo.R2c_fused) ?idx (p : Plan.t) buf ~tmp =
-    check_args p buf ~tmp;
-    let m = p.m and n = p.n in
-    if m = 1 || n = 1 then ()
-    else begin
-      let idx = row_idx p idx in
-      (match variant with
-      | Algo.R2c_fused ->
-          obs_pass p "col_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-              P.col_shuffle_ungather p buf ~tmp ~lo:0 ~hi:n)
-      | Algo.R2c_decomposed ->
-          obs_pass p "row_unpermute" ~pred:(Pass_cost.permute_rows p)
-            (fun () ->
-              P.permute_rows p buf ~tmp ~index:(Plan.q_inv p) ~lo:0 ~hi:n);
-          let amount j = -j in
-          obs_pass p "col_unrotate" ~pred:(Pass_cost.rotate p ~amount)
-            (fun () -> P.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n));
+  let r2c_passes (p : Plan.t) ~width ~cols ~rows =
+    if p.m > 1 && p.n > 1 then begin
+      obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
+          cols (unshuffle p));
       obs_pass p "row_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
-          P.row_shuffle_ungather p buf ~tmp ~idx ~row0:0 ~lo:0 ~hi:m);
+          rows P.row_shuffle_ungather);
       if not (Plan.coprime p) then begin
         let amount j = -Plan.rotate_amount p j in
-        obs_pass p "rotate_post" ~pred:(Pass_cost.rotate p ~amount) (fun () ->
-            P.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n)
+        obs_pass p "rotate_post" ~pred:(rotate_pred p ~width ~amount)
+          (fun () -> cols (rotate amount))
       end
     end
+
+  let gather_cols ?panel_width:(width = default_width) ?ws ?(lo = 0) ?hi
+      (p : Plan.t) buf map =
+    let n = p.n in
+    let hi = Option.value hi ~default:n in
+    if lo < 0 || hi > n || lo > hi then
+      invalid_arg "Kernels_f64.gather_cols: bad column range";
+    let ws = get_ws ws in
+    let w = stage_width ~m:p.m ~panel_width:width in
+    P.gather_cols p buf ~stage:(Ws.tmp ws (p.m * w)) ~idx:(Ws.idx ws w) ~map
+      ~pitch:n ~col0:0 ~width:w ~lo ~hi
+
+  (* One workspace serves both kinds of pass: its [tmp] holds a staging
+     (m * w) or a row (n), its [idx] a staging's offsets or a row's walk
+     indices, so a lane's scratch is max(m * w, m, n) elements. *)
+  let serial ~passes whom ?panel_width:(width = default_width) ?ws
+      (p : Plan.t) buf =
+    check_buf whom p buf;
+    let ws = get_ws ws in
+    passes p ~width ~cols:(gather_cols ~panel_width:width ~ws p buf)
+      ~rows:(fun pass ->
+        pass p buf
+          ~tmp:(Ws.tmp ws (Plan.scratch_elements p))
+          ~idx:(Ws.idx ws p.n) ~row0:0 ~lo:0 ~hi:p.m)
+
+  let c2r ?panel_width ?ws p buf =
+    serial ~passes:c2r_passes "Kernels_f64.c2r" ?panel_width ?ws p buf
+
+  let r2c ?panel_width ?ws p buf =
+    serial ~passes:r2c_passes "Kernels_f64.r2c" ?panel_width ?ws p buf
 
   let transpose ?ws ?(order = Layout.Row_major) ~m ~n buf =
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
-    (* Batch callers pass a workspace so the Theorem-6 scratch and the
-       walk's index row are allocated once per worker instead of once per
-       matrix. *)
-    let len = max rm rn in
-    let tmp, idx =
-      match ws with
-      | Some ws -> (Workspace.F64.tmp ws len, Some (Workspace.F64.idx ws len))
-      | None ->
-          (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len, None)
-    in
-    if rm > rn then c2r ?idx (Plan.make ~m:rm ~n:rn) buf ~tmp
-    else r2c ?idx (Plan.make ~m:rn ~n:rm) buf ~tmp
+    if rm > rn then c2r ?ws (Plan.make ~m:rm ~n:rn) buf
+    else r2c ?ws (Plan.make ~m:rn ~n:rm) buf
 end
 
 include Engine_of (Phases)
 
 (* Checked-access shadow mode: the same phase bodies with every matrix
-   and scratch access bounds-verified and every index-equation result
+   and scratch access bounds-verified and every generated index
    range-verified, raising [Checked_access.Violation] instead of
    corrupting memory. Selected by tests and [xpose check --shadow]. *)
 module Checked = struct
@@ -422,27 +354,6 @@ module Checked = struct
             done
           done)
 
-    let rotate_columns (p : Plan.t) (buf : buf) ~(tmp : buf) ~amount ~lo ~hi =
-      Checked_access.distinct ~who ~what:"rotate scratch" tmp buf;
-      let m = p.m and n = p.n in
-      for j = lo to hi - 1 do
-        let k = Intmath.emod (amount j) m in
-        if k <> 0 then begin
-          for i = 0 to m - k - 1 do
-            cset tmp "rotate scratch write" i
-              (cget buf "rotate read" (((i + k) * n) + j))
-          done;
-          for i = m - k to m - 1 do
-            cset tmp "rotate scratch write" i
-              (cget buf "rotate read" (((i + k - m) * n) + j))
-          done;
-          for i = 0 to m - 1 do
-            cset buf "rotate write" ((i * n) + j)
-              (cget tmp "rotate scratch read" i)
-          done
-        end
-      done
-
     let writeback_row (buf : buf) ~(tmp : buf) ~base ~n =
       for j = 0 to n - 1 do
         cset buf "row writeback" (base + j) (cget tmp "row scratch read" j)
@@ -468,69 +379,22 @@ module Checked = struct
 
     let row_shuffle_gather = gather_rows ~inverse:true
     let row_shuffle_ungather = gather_rows ~inverse:false
-
-    let row_shuffle_scatter (p : Plan.t) (buf : buf) ~(tmp : buf) ~idx ~row0
-        ~lo ~hi =
-      Checked_access.distinct ~who ~what:"row-shuffle scratch" tmp buf;
-      let n = p.n in
-      let w = Plan.walk p ~row:lo in
-      for i = lo to hi - 1 do
-        Plan.walk_d' w idx;
-        let base = (i - row0) * n in
-        for j = 0 to n - 1 do
-          let dst = cidx "d' column" ~bound:n idx.(j) in
-          cset tmp "row scratch write" dst (cget buf "row read" (base + j))
-        done;
-        writeback_row buf ~tmp ~base ~n
-      done
-
-    let col_shuffle_gather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
-      Checked_access.distinct ~who ~what:"col-shuffle scratch" tmp buf;
-      let m = p.m and n = p.n in
-      for j = lo to hi - 1 do
-        for i = 0 to m - 1 do
-          let src = cidx "s' row" ~bound:m (Plan.s' p ~j i) in
-          cset tmp "col scratch write" i (cget buf "col read" ((src * n) + j))
-        done;
-        for i = 0 to m - 1 do
-          cset buf "col write" ((i * n) + j) (cget tmp "col scratch read" i)
-        done
-      done
-
-    let col_shuffle_ungather (p : Plan.t) (buf : buf) ~(tmp : buf) ~lo ~hi =
-      Checked_access.distinct ~who ~what:"col-shuffle scratch" tmp buf;
-      let m = p.m and n = p.n in
-      for j = lo to hi - 1 do
-        for i = 0 to m - 1 do
-          let src = cidx "s'_inv row" ~bound:m (Plan.s'_inv p ~j i) in
-          cset tmp "col scratch write" i (cget buf "col read" ((src * n) + j))
-        done;
-        for i = 0 to m - 1 do
-          cset buf "col write" ((i * n) + j) (cget tmp "col scratch read" i)
-        done
-      done
-
-    let permute_rows (p : Plan.t) (buf : buf) ~(tmp : buf) ~index ~lo ~hi =
-      Checked_access.distinct ~who ~what:"permute scratch" tmp buf;
-      let m = p.m and n = p.n in
-      let idx = Array.init m (fun i -> cidx "row index" ~bound:m (index i)) in
-      for j = lo to hi - 1 do
-        for i = 0 to m - 1 do
-          cset tmp "permute scratch write" i
-            (cget buf "permute read" ((idx.(i) * n) + j))
-        done;
-        for i = 0 to m - 1 do
-          cset buf "permute write" ((i * n) + j)
-            (cget tmp "permute scratch read" i)
-        done
-      done
   end
 
   include Engine_of (Phases)
 end
 
-(* The specialized kernels make the same accesses as Algo.Make -- the row
-   passes index by Plan.walk, which the tests check equal to the
-   per-element maps -- so they share its access summaries. *)
-let c2r_access = Algo.c2r_access
-let r2c_access = Algo.r2c_access
+(* The engine's passes are the stage-and-gather column pass and the walk
+   row passes; their summaries are sub-range quantified, so one
+   certificate covers the serial, pool, batch and out-of-core schedules.
+   The trace cross-validation (test/check suite_access) keeps them
+   honest: the checked twin's recorded accesses must fall inside these
+   summaries and cover every element of every column pass. *)
+let c2r_access =
+  Access.Passes.[ stage_rotate; row_shuffle_gather; stage_shuffle ]
+
+let r2c_access =
+  Access.Passes.[ stage_unshuffle; row_shuffle_ungather; stage_rotate ]
+
+let stage_access =
+  Access.Passes.[ stage_rotate; stage_shuffle; stage_unshuffle ]

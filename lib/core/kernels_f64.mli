@@ -1,17 +1,24 @@
-(** Specialized float64 kernels.
+(** The float64 transposition engine.
 
     [Algo.Make (Storage.Float64)] is element-generic: every access goes
     through the functor parameter and cannot be inlined to a direct
-    memory operation. This module reimplements the same passes
-    monomorphically over float64 bigarrays so the compiler emits direct
-    unboxed loads and stores — the implementation a performance-conscious
-    user should call, and the one the CPU benchmarks (Figure 3 / Table 1)
-    measure. Semantics are identical to the functor (asserted by the test
-    suite over random shapes).
+    memory operation. This module runs the same decomposition (C2R:
+    pre-rotation when [gcd(m, n) > 1], row shuffle, column shuffle; R2C
+    its inverse) monomorphically over float64 bigarrays, so the compiler
+    emits direct unboxed loads and stores. It is the one f64 engine:
+    [Xpose_cpu.Fused_f64] runs its serial engine and drives its passes
+    over a pool, [Xpose_mmap.File_matrix] runs it on mapped files, and
+    [Xpose_ooc.Ooc_f64] runs its phases on file windows. Semantics are
+    asserted identical to the functor by the test suite.
 
-    All phase functions view the buffer as row-major [m x n] per the
-    plan, and take half-open ranges so parallel drivers can partition
-    work. *)
+    The row passes index each row by the division-free {!Plan.walk}.
+    Every column pass ([rotate_pre], [fused_col], [rotate_post]) is one
+    stage-and-gather sweep ({!Phases.gather_cols}): each staging of at
+    most [w = stage_width ~m ~panel_width] columns is copied into the
+    scratch in one row-order read sweep and written back through the
+    pass's map in one row-order write sweep. The [fused_col] pass
+    applies the paper's [s'] (rotation by [j] and row permutation [q],
+    Eqs. 26 and 32-33) in that one visit. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -29,9 +36,7 @@ type row_pass =
     the global [i]: in-RAM callers pass [row0 = 0], the out-of-core
     engine the first row of the mapped window. [idx] is the row of
     {!Plan.walk} indices (at least [n] long, contents scratch); [tmp]
-    holds at least [n] elements. This is the only row-shuffle code the
-    f64 engines run: [Xpose_cpu.Fused_f64] and [Xpose_ooc.Ooc_f64] call
-    these phases. *)
+    holds at least [n] elements. *)
 
 (** {1 Column passes: stage and gather}
 
@@ -60,8 +65,7 @@ val stage_elems : int
 
 val stage_width : m:int -> panel_width:int -> int
 (** [min panel_width (max 1 (stage_elems / m))]: the columns one staging
-    moves, so a lane's scratch holds at most [max m stage_elems]
-    elements.
+    moves, so a staging holds at most [max m stage_elems] elements.
     @raise Invalid_argument if [panel_width < 1]. *)
 
 type col_pass =
@@ -93,90 +97,122 @@ type col_pass =
 
 (** The permutation passes. Both the raw unsafe implementation
     ({!Phases}) and its checked twin ({!Checked.Phases}) satisfy this
-    signature; {!Engine_of} builds the full engine from either. *)
+    signature; {!Engine_of} builds the engine from either. *)
 module type PHASES = sig
   val gather_cols : col_pass
-  (** Stage and gather: the column passes of the f64 fused and
-      out-of-core engines. *)
-
-  val rotate_columns :
-    Plan.t -> buf -> tmp:buf -> amount:(int -> int) -> lo:int -> hi:int -> unit
+  (** Stage and gather: every column pass. *)
 
   val row_shuffle_gather : row_pass
-  (** Gather through [d'_inv] (Eq. 31). *)
-
-  val row_shuffle_scatter : row_pass
-  (** Scatter through [d'] (Eq. 24); the [C2r_scatter] variant. *)
+  (** Gather through [d'_inv] (Eq. 31): the C2R row shuffle. *)
 
   val row_shuffle_ungather : row_pass
   (** Gather through [d']: the R2C inverse of {!row_shuffle_gather}. *)
-
-  val col_shuffle_gather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-  val col_shuffle_ungather : Plan.t -> buf -> tmp:buf -> lo:int -> hi:int -> unit
-
-  val permute_rows :
-    Plan.t -> buf -> tmp:buf -> index:(int -> int) -> lo:int -> hi:int -> unit
 end
 
 module Phases : PHASES
 (** The raw unsafe passes: direct unboxed loads and stores, no checks. *)
 
-(** The engine type shared by the raw ({!c2r} / {!r2c} / {!transpose} at
-    top level) and checked ({!Checked}) instantiations. *)
-module type ENGINE = sig
-  val c2r :
-    ?variant:Algo.c2r_variant ->
-    ?idx:int array ->
-    Plan.t ->
-    buf ->
-    tmp:buf ->
-    unit
-  (** Same contract as [Algo.Make(Storage.Float64).c2r]. [idx] is the
-      row passes' index row (at least [n] long); one is allocated per
-      call when it is absent. *)
+val default_width : int
+(** 16 ({!Tune_params.default_panel_width}): the staging width cap,
+    [?panel_width]'s default. *)
 
-  val r2c :
-    ?variant:Algo.r2c_variant ->
-    ?idx:int array ->
+(** The engine, shared by the raw (top level) and checked ({!Checked})
+    instantiations. Scratch comes from a {!Workspace.F64} (a fresh one
+    per call when [ws] is absent): its [tmp] holds a staging or a row,
+    its [idx] a staging's offsets or a row's walk indices, so one
+    workspace holds at most [max (m * w) (max m n)] floats and
+    [max w n] ints, where [m * w <= max m stage_elems]. *)
+module type ENGINE = sig
+  (** {1 The pass order}
+
+      The C2R and R2C pass sequences, written once: each pass opens one
+      ["pass"] span ([rotate_pre] / [row_shuffle] / [fused_col], and
+      [fused_col] / [row_unshuffle] / [rotate_post]) and hands its work
+      to a runner. [cols] runs one column pass over every column, [rows]
+      one row pass over every row; the serial engine below runs them on
+      one workspace, the fused engine's drivers over a pool. [width]
+      prices the rotations' stagings. Degenerate [m = 1] or [n = 1]
+      plans run no pass. *)
+
+  val c2r_passes :
+    Plan.t ->
+    width:int ->
+    cols:(col_map -> unit) ->
+    rows:(row_pass -> unit) ->
+    unit
+
+  val r2c_passes :
+    Plan.t ->
+    width:int ->
+    cols:(col_map -> unit) ->
+    rows:(row_pass -> unit) ->
+    unit
+
+  (** {1 Serial engine} *)
+
+  val gather_cols :
+    ?panel_width:int ->
+    ?ws:Workspace.F64.t ->
+    ?lo:int ->
+    ?hi:int ->
     Plan.t ->
     buf ->
-    tmp:buf ->
+    col_map ->
     unit
+  (** One column pass over the column range [[lo, hi)] (default all
+      columns), in stagings of [stage_width ~m ~panel_width] columns.
+      @raise Invalid_argument on a bad range. *)
+
+  val c2r : ?panel_width:int -> ?ws:Workspace.F64.t -> Plan.t -> buf -> unit
+  (** Same result as [Algo.Make(Storage.Float64).c2r]. [panel_width]
+      (default {!default_width}) caps the staging width.
+      @raise Invalid_argument if the buffer size does not match the
+      plan. *)
+
+  val r2c : ?panel_width:int -> ?ws:Workspace.F64.t -> Plan.t -> buf -> unit
+  (** Same result as [Algo.Make(Storage.Float64).r2c]. *)
 
   val transpose :
     ?ws:Workspace.F64.t -> ?order:Layout.order -> m:int -> n:int -> buf -> unit
   (** Same contract as [Algo.Make(Storage.Float64).transpose]. When [ws]
-      is given the Theorem-6 scratch and the index row come from the
-      workspace (grown once, reused across calls) instead of a fresh
-      allocation per call. *)
+      is given the scratch comes from the workspace (grown once, reused
+      across calls) instead of a fresh allocation per call. *)
 end
 
 module Engine_of (P : PHASES) : ENGINE
-(** The pass orchestration (order, variant dispatch, per-pass
-    observability spans) over any {!PHASES}. One indirect call per pass,
-    never per element, so [Engine_of (Phases)] runs at full speed. *)
+(** The pass order and the serial engine over any {!PHASES}. One
+    indirect call per staging or row pass, never per element, so
+    [Engine_of (Phases)] runs at full speed. *)
 
 include ENGINE
 
-(** Checked-access shadow mode ({!Checked_access}): the same passes with
+(** Checked-access shadow mode ({!Checked_access}): the same engine with
     every matrix and scratch access bounds-verified, every index-equation
-    result ([d'], [d'_inv], [s'], [s'_inv], permutation indices)
-    range-verified, every staging offset range-verified, and the scratch
-    verified distinct from the matrix buffer. Raises {!Checked_access.Violation} on the first bad access
-    instead of corrupting memory. Selected by tests (run the suite once
-    under checking) and by [xpose check --shadow]. *)
+    result ([d'], [d'_inv]) and every staging offset range-verified, and
+    the scratch verified distinct from the matrix buffer. Raises
+    {!Checked_access.Violation} on the first bad access instead of
+    corrupting memory. Selected by tests (run the suite once under
+    checking) and by [xpose check --shadow]. *)
 module Checked : sig
   module Phases : PHASES
 
   include ENGINE
 end
 
-val c2r_access : Algo.c2r_variant -> Access.summary list
-(** {!Algo.c2r_access}: these kernels make the same accesses. Their row
-    passes compute the indices by {!Plan.walk} rather than per element;
-    the walk is tested equal to the per-element maps exhaustively on
-    small shapes, and the checked phases' traces are diffed against these
-    summaries. *)
+(** {1 Access summaries}
 
-val r2c_access : Algo.r2c_variant -> Access.summary list
-(** {!Algo.r2c_access}. *)
+    The {!Access} summaries of the passes this engine runs, each
+    sub-range and staging quantified, so one certificate covers the
+    serial, pool, batch and out-of-core schedules. The checked phases'
+    traces are diffed against them. *)
+
+val c2r_access : Access.summary list
+(** The C2R pipeline: staged rotation, walk row shuffle, staged
+    shuffle. *)
+
+val r2c_access : Access.summary list
+(** The R2C pipeline: staged unshuffle, walk row unshuffle, staged
+    rotation. *)
+
+val stage_access : Access.summary list
+(** The three stage-and-gather summaries. *)

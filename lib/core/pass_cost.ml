@@ -93,16 +93,3 @@ let predicted_ns_at_width r ~kind ~calibrated_width ~width ~touches =
   if touches < 0 then
     invalid_arg "Pass_cost.predicted_ns_at_width: touches must be >= 0";
   float_of_int (touches * 8) *. rate_at_width r kind ~calibrated_width ~width
-
-(* Kernel-tier scaling on top of the width scaling: an mk tier's
-   unrolled column movers issue [block] consecutive-row transfers per
-   call with no per-element wrap test, so the strided excess amortizes
-   as if the panel were [block] times wider. [block = 1] (the scalar
-   tier) degenerates to {!predicted_ns_at_width}; the floor at the
-   streaming rate still holds, so a tier can never price below a pure
-   stream. *)
-let predicted_ns_at_tier r ~kind ~calibrated_width ~width ~block ~touches =
-  if block < 1 then
-    invalid_arg "Pass_cost.predicted_ns_at_tier: block must be >= 1";
-  predicted_ns_at_width r ~kind ~calibrated_width ~width:(width * block)
-    ~touches

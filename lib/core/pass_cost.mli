@@ -117,19 +117,3 @@ val predicted_ns_at_width :
   float
 (** {!predicted_ns} priced at {!rate_at_width}.
     @raise Invalid_argument if [touches < 0] or either width is [< 1]. *)
-
-val predicted_ns_at_tier :
-  rates ->
-  kind:Xpose_obs.Roofline.kind ->
-  calibrated_width:int ->
-  width:int ->
-  block:int ->
-  touches:int ->
-  float
-(** {!predicted_ns_at_width} with the kernel-tier discount: an mk
-    tier's unrolled [block]-row column movers amortize the strided
-    excess as if the panel were [block] times wider (still floored at
-    the streaming rate). [block = 1] is exactly
-    {!predicted_ns_at_width} — the scalar tier.
-    @raise Invalid_argument if [touches < 0], [block < 1] or either
-    width is [< 1]. *)

@@ -1,22 +1,16 @@
-type engine = Kernels | Cache | Fused | Ooc
+type engine = Fused | Ooc
 
 type batch_split = Auto | Matrix_parallel | Panel_parallel | Hybrid of int
-
-type kernel_tier = Scalar | Mk8 | Mk16
 
 type t = {
   engine : engine;
   panel_width : int;
   batch_split : batch_split;
   window_bytes : int option;
-  kernel_tier : kernel_tier;
 }
 
 let supported_widths = [ 8; 16; 32; 64 ]
 let default_panel_width = 16
-let supported_tiers = [ Scalar; Mk8; Mk16 ]
-
-let tier_block = function Scalar -> 1 | Mk8 -> 8 | Mk16 -> 16
 
 let default =
   {
@@ -24,18 +18,11 @@ let default =
     panel_width = default_panel_width;
     batch_split = Auto;
     window_bytes = None;
-    kernel_tier = Scalar;
   }
 
-let engine_to_string = function
-  | Kernels -> "kernels"
-  | Cache -> "cache"
-  | Fused -> "fused"
-  | Ooc -> "ooc"
+let engine_to_string = function Fused -> "fused" | Ooc -> "ooc"
 
 let engine_of_string = function
-  | "kernels" -> Some Kernels
-  | "cache" -> Some Cache
   | "fused" -> Some Fused
   | "ooc" -> Some Ooc
   | _ -> None
@@ -45,14 +32,6 @@ let split_to_string = function
   | Matrix_parallel -> "matrix"
   | Panel_parallel -> "panel"
   | Hybrid t -> Printf.sprintf "hybrid:%d" t
-
-let tier_to_string = function Scalar -> "scalar" | Mk8 -> "mk8" | Mk16 -> "mk16"
-
-let tier_of_string = function
-  | "scalar" -> Some Scalar
-  | "mk8" -> Some Mk8
-  | "mk16" -> Some Mk16
-  | _ -> None
 
 let split_of_string s =
   match s with
@@ -74,14 +53,9 @@ let to_string t =
     Printf.sprintf "%s/w%d/%s" (engine_to_string t.engine) t.panel_width
       (split_to_string t.batch_split)
   in
-  let base =
-    match t.window_bytes with
-    | None -> base
-    | Some b -> Printf.sprintf "%s/win%d" base b
-  in
-  match t.kernel_tier with
-  | Scalar -> base
-  | tier -> Printf.sprintf "%s/%s" base (tier_to_string tier)
+  match t.window_bytes with
+  | None -> base
+  | Some b -> Printf.sprintf "%s/win%d" base b
 
 let equal (a : t) (b : t) = a = b
 
@@ -91,10 +65,4 @@ let validate t =
   (match t.window_bytes with
   | Some b when b < 1 -> invalid_arg "Tune_params: window_bytes must be >= 1"
   | _ -> ());
-  (match t.kernel_tier with
-  | Scalar -> ()
-  | tier ->
-      if tier_block tier > t.panel_width then
-        invalid_arg
-          "Tune_params: kernel_tier block must not exceed panel_width");
   t

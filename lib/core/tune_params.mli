@@ -11,10 +11,10 @@
     cache, the engines, and the race analyzer can all speak it without
     depending on the tuner. *)
 
-type engine = Kernels | Cache | Fused | Ooc
-(** The candidate engines: the unrolled kernel sequence, the
-    cache-aware sweeps, the fused-panel engine, and the out-of-core
-    windowed engine. *)
+type engine = Fused | Ooc
+(** The candidate engines: the in-RAM f64 engine
+    ({!Kernels_f64}, driven by [Xpose_cpu.Fused_f64]) and the
+    out-of-core windowed engine. *)
 
 type batch_split =
   | Auto
@@ -28,22 +28,12 @@ type batch_split =
           matrices, panel-parallel below that. [Auto] is [Hybrid lanes]
           with [lanes] resolved at dispatch time. *)
 
-type kernel_tier =
-  | Scalar
-  | Mk8
-  | Mk16
-(** The retired micro-kernel tier axis. The engines accept it and ignore
-    it (their staged column passes have no tier to select); it stays so
-    tuning DBs, CLI flags and the check grid keep their shape. *)
-
 type t = {
   engine : engine;
   panel_width : int;
   batch_split : batch_split;
   window_bytes : int option;
       (** Out-of-core residency budget; [None] for in-RAM engines. *)
-  kernel_tier : kernel_tier;
-      (** Accepted and ignored by every engine; [Scalar] by default. *)
 }
 
 val default : t
@@ -58,27 +48,16 @@ val supported_widths : int list
 val default_panel_width : int
 (** 16 — a float64 sub-row spanning a typical 128-byte line pair. *)
 
-val supported_tiers : kernel_tier list
-(** Kernel tiers the tuner searches and the check layer proves:
-    [[Scalar; Mk8; Mk16]]. *)
-
-val tier_block : kernel_tier -> int
-(** Square block edge of the tier's micro-kernel tile: 1, 8 or 16. *)
-
 val engine_to_string : engine -> string
 val engine_of_string : string -> engine option
 val split_to_string : batch_split -> string
 val split_of_string : string -> batch_split option
-val tier_to_string : kernel_tier -> string
-val tier_of_string : string -> kernel_tier option
 
 val to_string : t -> string
-(** Compact display form, e.g. ["fused/w32/hybrid:4"]; a non-scalar
-    kernel tier appends ["/mk8"] or ["/mk16"]. *)
+(** Compact display form, e.g. ["fused/w32/hybrid:4"]. *)
 
 val equal : t -> t -> bool
 
 val validate : t -> t
 (** Identity on well-formed values.
-    @raise Invalid_argument on a non-positive width or window, or a
-    kernel tier whose block edge exceeds the panel width. *)
+    @raise Invalid_argument on a non-positive width or window. *)

@@ -333,7 +333,7 @@ end
    buffer": the cycle structure visits a subset of those rows, which is
    all a bounds/alias proof needs. The fine phase's head reads are kept
    precise (they are the subtle ones). The fallback path of
-   [rotate_panel] runs [Kernels_f64.Phases.rotate_columns] over
+   [rotate_panel] runs [Algo.Make.Phases.rotate_columns] over
    [lo, lo + w), which the sub-range-quantified kernel rotate
    certificates already cover. *)
 

@@ -1,35 +1,30 @@
-(** The float64 transposition engine: the fast path.
+(** The float64 transposition engine's drivers: plan cache, pool and
+    batch.
 
-    The decomposed C2R sequence (pre-rotation when [gcd(m, n) > 1], row
-    shuffle, column shuffle) and its R2C inverse, written directly over
-    float64 bigarrays. The row passes are {!Xpose_core.Kernels_f64}'s
-    walk movers; every column pass ([rotate_pre], [fused_col],
-    [rotate_post]) is one stage-and-gather sweep
-    ({!Xpose_core.Kernels_f64.Phases.gather_cols}): each staging of at
-    most [w = stage_width ~m ~panel_width] columns is copied into the
-    lane's scratch in one row-order read sweep and written back through
-    the pass's map in one row-order write sweep. The [fused_col] pass
-    applies the paper's [s'] (rotation by [j] and row permutation [q],
-    Eqs. 26 and 32-33) in that one visit. Semantics are asserted
-    identical to the element-generic oracle by the test suite.
-
-    Three ways to run it:
-    - serial: {!c2r}/{!r2c}/{!transpose} — one domain, one workspace;
-    - panel-parallel: {!c2r_pool}/{!r2c_pool}/{!transpose_pool} — one
-      matrix, whole stagings partitioned across a {!Pool};
+    The serial engine is {!Xpose_core.Kernels_f64}'s ({!c2r}, {!r2c} and
+    {!gather_cols} are its functions): the decomposed C2R sequence
+    (pre-rotation when [gcd(m, n) > 1], walk row shuffle, staged column
+    shuffle) and its R2C inverse, every column pass one
+    stage-and-gather sweep. This module adds:
+    - {!transpose}: the serial engine on plans memoized through
+      {!Xpose_core.Plan.Cache};
+    - panel-parallel: {!c2r_pool}/{!r2c_pool}/{!transpose_pool} — the
+      same pass order ({!Xpose_core.Kernels_f64.ENGINE.c2r_passes}) over
+      pooled runners: whole stagings partitioned across a {!Pool} for the
+      column passes, row ranges for the row passes;
     - batched: {!transpose_batch} — many same-shape matrices, fanned
       matrix-parallel across the pool (or panel-parallel per matrix when
       the batch is smaller than the pool).
 
-    All engines take scratch from a {!Xpose_core.Workspace.F64} (created
-    per call when omitted): a lane's staging holds at most
-    [max m Kernels_f64.stage_elems] elements. Plans are memoized through
-    {!Xpose_core.Plan.Cache}. Observability: one "pass" span per logical
-    pass ([rotate_pre] / [row_shuffle] / [fused_col] and inverses), one
-    "panel" span per staging.
+    Every driver takes scratch from {!Xpose_core.Workspace.F64}s
+    (created per call when omitted): a lane holds at most
+    [max (m * w) (max m n)] floats, where
+    [m * w <= max m Kernels_f64.stage_elems]. Observability: one "pass"
+    span per logical pass ([rotate_pre] / [row_shuffle] / [fused_col]
+    and inverses), one "panel" span per staging.
 
-    {!Checked} is the checked-access shadow mode: the same engine with
-    every access bounds-verified
+    {!Checked} is the checked-access shadow mode: the same drivers over
+    {!Xpose_core.Kernels_f64.Checked}, every access bounds-verified
     ({!Xpose_core.Checked_access.Violation} on the first bad one). *)
 
 type buf = Xpose_core.Storage.Float64.t
@@ -37,7 +32,8 @@ type buf = Xpose_core.Storage.Float64.t
 module Ws = Xpose_core.Workspace.F64
 
 val default_width : int
-(** 16: the staging width cap ([?panel_width] default). *)
+(** 16 ({!Xpose_core.Kernels_f64.default_width}): the staging width cap
+    ([?panel_width] default). *)
 
 val supported_widths : int list
 (** The panel widths the autotuner searches and the check layer
@@ -62,37 +58,21 @@ module type ENGINE = sig
       columns), in stagings of [stage_width ~m ~panel_width] columns.
       @raise Invalid_argument on a bad range. *)
 
-  (** {1 Serial engines}
+  (** {1 Serial engine}
 
-      [panel_width] (default 16) caps the staging width. [block_rows]
-      and [tier] are accepted and ignored: the staged column passes
-      have no strip height or micro-kernel tier to select. *)
+      [panel_width] (default 16) caps the staging width. *)
 
-  val c2r :
-    ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
-    ?ws:Ws.t ->
-    Xpose_core.Plan.t ->
-    buf ->
-    unit
-  (** @raise Invalid_argument if the buffer size does not match the
+  val c2r : ?panel_width:int -> ?ws:Ws.t -> Xpose_core.Plan.t -> buf -> unit
+  (** {!Xpose_core.Kernels_f64.c2r}.
+      @raise Invalid_argument if the buffer size does not match the
       plan. *)
 
-  val r2c :
-    ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
-    ?ws:Ws.t ->
-    Xpose_core.Plan.t ->
-    buf ->
-    unit
+  val r2c : ?panel_width:int -> ?ws:Ws.t -> Xpose_core.Plan.t -> buf -> unit
+  (** {!Xpose_core.Kernels_f64.r2c}. *)
 
   val transpose :
     ?order:Xpose_core.Layout.order ->
     ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?cache:Xpose_core.Plan.Cache.t ->
     m:int ->
@@ -114,8 +94,6 @@ module type ENGINE = sig
 
   val c2r_pool :
     ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     Pool.t ->
     Xpose_core.Plan.t ->
@@ -124,8 +102,6 @@ module type ENGINE = sig
 
   val r2c_pool :
     ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     Pool.t ->
     Xpose_core.Plan.t ->
@@ -135,8 +111,6 @@ module type ENGINE = sig
   val transpose_pool :
     ?order:Xpose_core.Layout.order ->
     ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     ?cache:Xpose_core.Plan.Cache.t ->
     Pool.t ->
@@ -151,8 +125,6 @@ module type ENGINE = sig
     ?order:Xpose_core.Layout.order ->
     ?split:Xpose_core.Tune_params.batch_split ->
     ?panel_width:int ->
-    ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?cache:Xpose_core.Plan.Cache.t ->
     Pool.t ->
     m:int ->
@@ -183,15 +155,3 @@ module Checked : ENGINE
     {!Xpose_core.Checked_access.Violation} on the first bad access
     instead of corrupting memory. Selected by tests (run the suite once
     under checking) and by [xpose check --shadow]. *)
-
-module Summary : sig
-  val c2r_passes : Xpose_core.Access.summary list
-  (** Every summary the C2R pipeline runs: the staged rotation and
-      shuffle and the walk row shuffle, each sub-range quantified so the
-      serial, pool and batch schedules are all covered. *)
-
-  val r2c_passes : Xpose_core.Access.summary list
-
-  val all : Xpose_core.Access.summary list
-  (** The three stage-and-gather summaries. *)
-end

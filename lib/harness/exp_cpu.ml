@@ -3,10 +3,11 @@
 
     Paper setup: 1000 matrices, m,n uniform in [1000, 10000), Core i7 950.
     Default here: dimensions scaled by 10 (m,n in [100, 1000)) and fewer
-    samples so the experiment completes quickly on one core; pass a larger
-    [scale] to move toward the paper's sizes. The container exposes a
-    single core, so the multi-threaded row measures parallel overhead, not
-    speedup — see EXPERIMENTS.md. *)
+    samples so the experiment completes quickly; pass a larger [scale] to
+    move toward the paper's sizes. The C2R rows run the f64 engine
+    ({!Xpose_core.Kernels_f64} serially, [Xpose_cpu.Fused_f64] on a
+    2-lane pool); the generic and Gustavson rows are the element-generic
+    references — see EXPERIMENTS.md. *)
 
 open Xpose_core
 module S = Storage.Float64
@@ -44,7 +45,9 @@ let impls =
     {
       name = "C2R, pooled";
       metric_key = "median_c2r_pool_gbps";
-      run = (fun ~pool ~m ~n buf -> Xpose_cpu.Par_f64.transpose pool ~m ~n buf);
+      run =
+        (fun ~pool ~m ~n buf ->
+          Xpose_cpu.Fused_f64.transpose_pool pool ~m ~n buf);
     };
     {
       name = "Gustavson (tiled)";
@@ -54,7 +57,7 @@ let impls =
   ]
 
 let run ?(seed = 42) ?(samples = 24) ?(dim_lo = 100) ?(dim_hi = 600)
-    ?(workers = 4) () =
+    ?(workers = 2) () =
   let rng = Rng.create ~seed in
   let dims = Workload.random_dims rng ~lo:dim_lo ~hi:dim_hi ~count:samples in
   let results =

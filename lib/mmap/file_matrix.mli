@@ -3,9 +3,10 @@
     Because the decomposition needs only [O(max(m,n))] auxiliary memory,
     matrices larger than RAM can be transposed in place in their backing
     file — the mapped buffer is an ordinary float64 bigarray, so it works
-    directly with {!Xpose_core.Kernels_f64} and every functor instance
-    over [Storage.Float64]. {!map_range} maps a bounded slice of the
-    file, which is what the windowed [Xpose_ooc] engine builds on.
+    directly with the f64 engine ({!Xpose_core.Kernels_f64}) and every
+    functor instance over [Storage.Float64]. {!map_range} maps a bounded
+    slice of the file, which is what the windowed [Xpose_ooc] engine
+    builds on.
 
     A note on unmapping: the OCaml runtime releases a mapping when the
     bigarray is garbage-collected; there is no eager [munmap] in the
@@ -47,9 +48,13 @@ val with_map :
 val transpose_file :
   ?ws:Xpose_core.Workspace.F64.t -> path:string -> m:int -> n:int -> unit -> unit
 (** Transpose the row-major [m x n] float64 matrix stored in [path], in
-    place in the file, using the specialized kernels and [max m n]
-    scratch in RAM. Scratch comes from [ws] when given (repeated file
-    transposes on one workspace stop churning the allocator); a fresh
-    workspace is created per call otherwise.
+    place in the file, with the f64 engine ({!Xpose_core.Kernels_f64},
+    whose column passes move one staging of [w] columns per row-order
+    sweep). RAM scratch is at most [max (r * w) (max m n)] floats and
+    [max w (min m n)] ints, where [r = max m n] is the plan's row count
+    and [r * w <= max r Kernels_f64.stage_elems] ([2^18]). Scratch comes
+    from [ws] when given (repeated file transposes on one workspace stop
+    churning the allocator); a fresh workspace is created per call
+    otherwise.
     @raise Invalid_argument if the file does not hold exactly [m*n]
     elements. *)

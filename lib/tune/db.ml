@@ -52,13 +52,12 @@ let entry_json e =
   in
   Printf.sprintf
     "    {\"m\": %d, \"n\": %d, \"nb\": %d, \"engine\": %S, \"panel_width\": \
-     %d, \"batch_split\": %S, \"kernel_tier\": %S,%s \"predicted_ns\": %s, \
+     %d, \"batch_split\": %S,%s \"predicted_ns\": %s, \
      \"measured_ns\": %s, \"default_ns\": %s, \"roofline_frac\": %s}"
     e.m e.n e.nb
     (Tune_params.engine_to_string e.params.Tune_params.engine)
     e.params.Tune_params.panel_width
     (Tune_params.split_to_string e.params.Tune_params.batch_split)
-    (Tune_params.tier_to_string e.params.Tune_params.kernel_tier)
     window (json_float e.predicted_ns) (json_float e.measured_ns)
     (json_float e.default_ns)
     (json_float e.roofline_frac)
@@ -101,9 +100,12 @@ let entry_of_json j =
   let* nb = int_field "nb" j in
   let* engine_s = str_field "engine" j in
   let* engine =
-    match Tune_params.engine_of_string engine_s with
-    | Some e -> Ok e
-    | None -> Error (Printf.sprintf "tuning db: unknown engine %S" engine_s)
+    match (Tune_params.engine_of_string engine_s, engine_s) with
+    | Some e, _ -> Ok e
+    (* Engines retired from the candidate set: their entries load with
+       the default engine rather than invalidating the DB. *)
+    | None, ("kernels" | "cache") -> Ok Tune_params.default.engine
+    | None, _ -> Error (Printf.sprintf "tuning db: unknown engine %S" engine_s)
   in
   let* panel_width = int_field "panel_width" j in
   let* split_s = str_field "batch_split" j in
@@ -116,16 +118,6 @@ let entry_of_json j =
     match Xpose_obs.Json_lite.num_field "window_bytes" j with
     | Some v when Float.is_integer v && v > 0.0 -> Some (int_of_float v)
     | _ -> None
-  in
-  (* Optional for compatibility: DBs written before the kernel-tier axis
-     load as scalar-tier entries. *)
-  let* kernel_tier =
-    match Xpose_obs.Json_lite.mem "kernel_tier" j with
-    | None -> Ok Tune_params.Scalar
-    | Some s -> (
-        match Option.bind (Xpose_obs.Json_lite.str s) Tune_params.tier_of_string with
-        | Some t -> Ok t
-        | None -> Error "tuning db: unknown kernel_tier")
   in
   let* predicted_ns = float_field "predicted_ns" j in
   let* measured_ns = float_field "measured_ns" j in
@@ -145,7 +137,6 @@ let entry_of_json j =
             panel_width;
             batch_split;
             window_bytes;
-            kernel_tier;
           };
         predicted_ns;
         measured_ns;

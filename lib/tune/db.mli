@@ -45,7 +45,10 @@ val entries : t -> entry list
 
 val to_json : t -> string
 val of_json : string -> (t, string) result
-(** Total: hostile bytes come back as [Error], never an exception. *)
+(** Total: hostile bytes come back as [Error], never an exception. Files
+    written by older versions load: an entry naming a retired engine
+    ([kernels] or [cache]) takes the default engine, and a
+    [kernel_tier] field is ignored. *)
 
 type status =
   | Fresh  (** No file existed; the DB starts empty. *)

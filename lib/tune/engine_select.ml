@@ -1,7 +1,6 @@
 open Xpose_core
 module S = Storage.Float64
 module FF = Xpose_cpu.Fused_f64
-module CA = Xpose_cpu.Cache_aware.Make (Storage.Float64)
 
 type t = {
   db : Db.t;
@@ -80,23 +79,16 @@ let ooc_via_file ?pool ~window_bytes ~m ~n buf =
 
 let run ?pool t ~(params : Tune_params.t) ~m ~n buf =
   match params.Tune_params.engine with
-  | Tune_params.Kernels -> Kernels_f64.transpose ~m ~n buf
-  | Tune_params.Cache ->
-      let c2r_side, p = plan_for t ~params ~m ~n in
-      let tmp = S.create (Plan.scratch_elements p) in
-      let width = params.Tune_params.panel_width in
-      if c2r_side then CA.c2r ~width p buf ~tmp else CA.r2c ~width p buf ~tmp
   | Tune_params.Fused -> (
       let c2r_side, p = plan_for t ~params ~m ~n in
       let panel_width = params.Tune_params.panel_width in
-      let tier = params.Tune_params.kernel_tier in
       match pool with
       | Some pool when Xpose_cpu.Pool.workers pool > 1 ->
-          if c2r_side then FF.c2r_pool ~panel_width ~tier pool p buf
-          else FF.r2c_pool ~panel_width ~tier pool p buf
+          if c2r_side then FF.c2r_pool ~panel_width pool p buf
+          else FF.r2c_pool ~panel_width pool p buf
       | _ ->
-          if c2r_side then FF.c2r ~panel_width ~tier p buf
-          else FF.r2c ~panel_width ~tier p buf)
+          if c2r_side then FF.c2r ~panel_width p buf
+          else FF.r2c ~panel_width p buf)
   | Tune_params.Ooc ->
       let window_bytes =
         match params.Tune_params.window_bytes with
@@ -121,8 +113,8 @@ let dispatch_batch t pool ~m ~n bufs =
     match params.Tune_params.engine with
     | Tune_params.Fused ->
         FF.transpose_batch ~split:params.Tune_params.batch_split
-          ~panel_width:params.Tune_params.panel_width
-          ~tier:params.Tune_params.kernel_tier ~cache:t.cache pool ~m ~n bufs
-    | Tune_params.Kernels | Tune_params.Cache | Tune_params.Ooc ->
+          ~panel_width:params.Tune_params.panel_width ~cache:t.cache pool ~m
+          ~n bufs
+    | Tune_params.Ooc ->
         Array.iter (fun buf -> run ~pool t ~params ~m ~n buf) bufs
   end

@@ -1,7 +1,6 @@
 open Xpose_core
 module S = Storage.Float64
 module FF = Xpose_cpu.Fused_f64
-module CA = Xpose_cpu.Cache_aware.Make (Storage.Float64)
 
 type sample = {
   params : Tune_params.t;
@@ -19,26 +18,16 @@ let roundtrip_single ?pool ~m ~n (params : Tune_params.t) buf =
   let rm = max m n and rn = min m n in
   let p () = Plan.Cache.get ~params ~m:rm ~n:rn () in
   match params.Tune_params.engine with
-  | Tune_params.Kernels ->
-      Kernels_f64.transpose ~m ~n buf;
-      Kernels_f64.transpose ~m:n ~n:m buf
-  | Tune_params.Cache ->
-      let p = p () in
-      let tmp = S.create (Plan.scratch_elements p) in
-      let width = params.Tune_params.panel_width in
-      CA.c2r ~width p buf ~tmp;
-      CA.r2c ~width p buf ~tmp
   | Tune_params.Fused -> (
       let p = p () in
       let panel_width = params.Tune_params.panel_width in
-      let tier = params.Tune_params.kernel_tier in
       match pool with
       | Some pool when Xpose_cpu.Pool.workers pool > 1 ->
-          FF.c2r_pool ~panel_width ~tier pool p buf;
-          FF.r2c_pool ~panel_width ~tier pool p buf
+          FF.c2r_pool ~panel_width pool p buf;
+          FF.r2c_pool ~panel_width pool p buf
       | _ ->
-          FF.c2r ~panel_width ~tier p buf;
-          FF.r2c ~panel_width ~tier p buf)
+          FF.c2r ~panel_width p buf;
+          FF.r2c ~panel_width p buf)
   | Tune_params.Ooc ->
       (* The serving path stages out-of-core jobs through a file, so an
          honest ooc measurement pays the staging streams too. *)
@@ -71,10 +60,9 @@ let roundtrip_batch ~pool ~m ~n (params : Tune_params.t) bufs =
   | Tune_params.Fused ->
       let split = params.Tune_params.batch_split in
       let panel_width = params.Tune_params.panel_width in
-      let tier = params.Tune_params.kernel_tier in
-      FF.transpose_batch ~split ~panel_width ~tier pool ~m ~n bufs;
-      FF.transpose_batch ~split ~panel_width ~tier pool ~m:n ~n:m bufs
-  | Tune_params.Kernels | Tune_params.Cache | Tune_params.Ooc ->
+      FF.transpose_batch ~split ~panel_width pool ~m ~n bufs;
+      FF.transpose_batch ~split ~panel_width pool ~m:n ~n:m bufs
+  | Tune_params.Ooc ->
       Array.iter (fun buf -> roundtrip_single ~pool ~m ~n params buf) bufs
 
 let verify_identity ~what ~m ~n buf =

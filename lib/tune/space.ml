@@ -5,18 +5,16 @@ type t = {
   widths : int list;
   splits : Tune_params.batch_split list;
   windows : int list;
-  tiers : Tune_params.kernel_tier list;
 }
 
 let default_splits = Tune_params.[ Auto; Matrix_parallel; Panel_parallel ]
 
-let make ?(engines = Tune_params.[ Kernels; Cache; Fused ])
+let make ?(engines = Tune_params.[ Fused ])
     ?(widths = Tune_params.supported_widths) ?(splits = default_splits)
-    ?(windows = []) ?(tiers = Tune_params.supported_tiers) () =
+    ?(windows = []) () =
   if widths = [] then invalid_arg "Space.make: widths must be non-empty";
   if splits = [] then invalid_arg "Space.make: splits must be non-empty";
-  if tiers = [] then invalid_arg "Space.make: tiers must be non-empty";
-  { engines; widths; splits; windows; tiers }
+  { engines; widths; splits; windows }
 
 let candidates t ~nb =
   (* A single matrix has no batch to split; only a real batch spreads
@@ -24,36 +22,12 @@ let candidates t ~nb =
   let splits = if nb > 1 then t.splits else [ Tune_params.Auto ] in
   let of_engine engine =
     match (engine : Tune_params.engine) with
-    | Tune_params.Kernels ->
-        (* The unrolled kernel sequence works element-at-a-time: no
-           panel geometry, no split (batches fan matrices). *)
-        [ { Tune_params.default with engine; batch_split = Tune_params.Auto } ]
-    | Tune_params.Cache ->
-        List.map
-          (fun panel_width -> { Tune_params.default with engine; panel_width })
-          t.widths
     | Tune_params.Fused ->
-        (* The kernel-tier axis only exists under the fused panel loops;
-           a tier's block must fit inside the panel (an 8-wide panel
-           cannot host a 16x16 tile's amortization). *)
         List.concat_map
           (fun panel_width ->
-            List.concat_map
+            List.map
               (fun batch_split ->
-                List.filter_map
-                  (fun kernel_tier ->
-                    if Tune_params.tier_block kernel_tier > panel_width then
-                      None
-                    else
-                      Some
-                        {
-                          Tune_params.default with
-                          engine;
-                          panel_width;
-                          batch_split;
-                          kernel_tier;
-                        })
-                  t.tiers)
+                { Tune_params.default with engine; panel_width; batch_split })
               splits)
           t.widths
     | Tune_params.Ooc ->
@@ -88,57 +62,34 @@ let predict_ns ~(cal : Xpose_obs.Calibrate.t) ~(rates : Pass_cost.rates) ~m ~n
   let rm = max m n and rn = min m n in
   let p = Plan.Cache.get ~params ~m:rm ~n:rn () in
   let cw = cal.Xpose_obs.Calibrate.panel_width in
-  (* Only the passes that actually run under the candidate's kernel
-     tier (the fused panel loops) get the block discount; the row
-     shuffle is tier-independent. Non-fused candidates carry the scalar
-     tier, so [block = 1] and the discount is the identity. *)
-  let block = Tune_params.tier_block params.Tune_params.kernel_tier in
-  let price ?(block = 1) ~pass_name ~width touches =
+  let price ~pass_name ~width touches =
     let kind = Xpose_obs.Roofline.kind_of_pass pass_name in
-    Pass_cost.predicted_ns_at_tier rates ~kind ~calibrated_width:cw ~width
-      ~block ~touches
+    Pass_cost.predicted_ns_at_width rates ~kind ~calibrated_width:cw ~width
+      ~touches
   in
   let w = params.Tune_params.panel_width in
   let rotate_pre =
     if Plan.coprime p then 0.0
     else
-      price ~block ~pass_name:"rotate_pre" ~width:w
+      price ~pass_name:"rotate_pre" ~width:w
         (Pass_cost.panel_rotate p ~width:w ~amount:(Plan.rotate_amount p))
   in
-  let shuffle = price ~pass_name:"row_shuffle" ~width:w (Pass_cost.shuffle p) in
+  let passes =
+    rotate_pre
+    +. price ~pass_name:"row_shuffle" ~width:w (Pass_cost.shuffle p)
+    +. price ~pass_name:"fused_col" ~width:w (Pass_cost.fused_col p)
+  in
   match params.Tune_params.engine with
-  | Tune_params.Fused ->
-      rotate_pre +. shuffle
-      +. price ~block ~pass_name:"fused_col" ~width:w (Pass_cost.fused_col p)
-  | Tune_params.Cache ->
-      rotate_pre +. shuffle
-      +. price ~pass_name:"col_rotate" ~width:w
-           (Pass_cost.rotate p ~amount:(fun j -> j))
-      +. price ~pass_name:"row_permute" ~width:w (Pass_cost.permute_rows p)
-  | Tune_params.Kernels ->
-      (* Element-at-a-time column passes: priced at panel width 1, the
-         narrowest (most expensive) strided geometry. *)
-      let one = 1 in
-      (if Plan.coprime p then 0.0
-       else
-         price ~pass_name:"rotate_pre" ~width:one
-           (Pass_cost.panel_rotate p ~width:one
-              ~amount:(Plan.rotate_amount p)))
-      +. shuffle
-      +. price ~pass_name:"col_shuffle" ~width:one (Pass_cost.fused_col p)
+  | Tune_params.Fused -> passes
   | Tune_params.Ooc ->
-      (* The windowed engine runs the fused passes plus a streaming
+      (* The windowed engine runs the same passes plus a streaming
          staging sweep each way (the serving path stages jobs through a
-         file), so in-RAM shapes price — and almost always measure —
-         behind the fused engine. *)
-      let staging =
-        2.0
-        *. Pass_cost.predicted_ns rates ~kind:Xpose_obs.Roofline.Stream
-             ~touches:(2 * rm * rn)
-      in
-      rotate_pre +. shuffle
-      +. price ~pass_name:"fused_col" ~width:w (Pass_cost.fused_col p)
-      +. staging
+         file), so in-RAM shapes price -- and almost always measure --
+         behind the in-RAM engine. *)
+      passes
+      +. 2.0
+         *. Pass_cost.predicted_ns rates ~kind:Xpose_obs.Roofline.Stream
+              ~touches:(2 * rm * rn)
 
 type priced = { params : Tune_params.t; predicted_ns : float }
 

@@ -2,12 +2,12 @@
 
     A candidate is a {!Xpose_core.Tune_params.t}; the space is the cross
     product engine x panel width x batch split x ooc window, restricted
-    to the combinations that make sense (the kernel engine has no panel
-    geometry, splits only exist for real batches, windows only for the
-    out-of-core engine). {!predict_ns} prices a candidate with the
-    calibrated per-byte rates of {!Xpose_core.Pass_cost}, width-scaled
-    by {!Xpose_core.Pass_cost.rate_at_width}, so {!prune} can discard
-    the clearly-losing part of the space before any timing run. *)
+    to the combinations that make sense (splits only exist for real
+    batches, windows only for the out-of-core engine). {!predict_ns}
+    prices a candidate with the calibrated per-byte rates of
+    {!Xpose_core.Pass_cost}, width-scaled by
+    {!Xpose_core.Pass_cost.rate_at_width}, so {!prune} can discard the
+    clearly-losing part of the space before any timing run. *)
 
 open Xpose_core
 
@@ -16,8 +16,6 @@ type t = {
   widths : int list;
   splits : Tune_params.batch_split list;
   windows : int list;  (** Candidate ooc window budgets, in bytes. *)
-  tiers : Tune_params.kernel_tier list;
-      (** Candidate kernel tiers for the fused panel loops. *)
 }
 
 val make :
@@ -25,21 +23,17 @@ val make :
   ?widths:int list ->
   ?splits:Tune_params.batch_split list ->
   ?windows:int list ->
-  ?tiers:Tune_params.kernel_tier list ->
   unit ->
   t
-(** Defaults: in-RAM engines ([Kernels]/[Cache]/[Fused] — [Ooc] joins
-    only when asked for, since it also needs [windows]),
-    {!Tune_params.supported_widths}, the three split policies, no
-    windows, {!Tune_params.supported_tiers}.
-    @raise Invalid_argument on an empty [widths], [splits] or
-    [tiers]. *)
+(** Defaults: the in-RAM engine [Fused] ([Ooc] joins only when asked
+    for, since it also needs [windows]), {!Tune_params.supported_widths},
+    the three split policies, no windows.
+    @raise Invalid_argument on an empty [widths] or [splits]. *)
 
 val candidates : t -> nb:int -> Tune_params.t list
 (** All candidates for a shape tuned at batch size [nb]. Always
     contains {!Tune_params.default}; [nb <= 1] collapses the split axis
-    to [Auto]. The kernel-tier axis spreads only under the fused
-    engine, restricted to tiers whose block fits the panel width. *)
+    to [Auto]. *)
 
 val predict_ns :
   cal:Xpose_obs.Calibrate.t ->
@@ -52,9 +46,8 @@ val predict_ns :
     candidate: each pass the engine would run, priced at the calibrated
     rate of its traffic class ({!Xpose_obs.Roofline.kind_of_pass} on
     the engine's own pass names), width-scaled from the calibration's
-    probe width; the fused panel passes additionally carry the
-    candidate's kernel-tier block discount
-    ({!Pass_cost.predicted_ns_at_tier}). Monotone in every rate —
+    probe width ({!Pass_cost.predicted_ns_at_width}). Monotone in every
+    rate —
     perturbing the calibration can reorder candidates only in the
     direction of the perturbed traffic class (the pruning contract the
     property tests pin). *)

@@ -16,7 +16,7 @@ let contains s sub =
 (* Map a checked access (who/what) to the summary's region name. *)
 let region_of ~who ~what =
   if contains what "stage" then "stage"
-  else if contains who "Kernels_f64" then
+  else if contains who "Kernels_f64" || contains who "Recording" then
     if contains what "scratch" then "tmp" else "matrix"
   else if contains what "line" then "line"
   else if contains what "head" then "head"
@@ -68,7 +68,12 @@ let check_superset ~msg summary env trace =
     Alcotest.failf "%s: trace escapes summary %s: %s" msg
       summary.Access.pass (pp_events missing)
 
-(* -- the row/column kernel phases ---------------------------------------- *)
+(* -- the row/column kernel phases ----------------------------------------
+   The reference summaries model Algo.Make's phases (the paper's
+   row/column passes). They run here over a recording storage whose
+   get/set report every access to the recorder, so each summary is diffed
+   against the functor code itself; the f64 engine's walk row passes are
+   diffed against the same row summaries. *)
 
 let f64 len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
 
@@ -77,59 +82,93 @@ let fill buf =
     Bigarray.Array1.set buf i (float_of_int i)
   done
 
+module Recording = struct
+  type t = { region : string; data : float array }
+  type elt = float
+
+  let name = "recording"
+  let elt_bytes = 8
+  let of_region region len = { region; data = Array.init len float_of_int }
+  let create len = of_region "scratch" len
+  let length t = Array.length t.data
+
+  let report t what i =
+    Checked_access.bounds ~who:"Recording" ~what:(t.region ^ " " ^ what)
+      ~len:(length t) i
+
+  let get t i =
+    report t "read" i;
+    t.data.(i)
+
+  let set t i v =
+    report t "write" i;
+    t.data.(i) <- v
+
+  let blit src spos dst dpos len =
+    for k = 0 to len - 1 do
+      set dst (dpos + k) (get src (spos + k))
+    done
+
+  let of_int = float_of_int
+  let to_int = int_of_float
+  let equal = Float.equal
+  let pp ppf v = Format.fprintf ppf "%g" v
+end
+
+module RA = Algo.Make (Recording)
+module RP = RA.Phases
+
 type axis = Rows | Cols
 
 let kernel_cases (p : Plan.t) =
   let module K = Kernels_f64.Checked.Phases in
   let open Access.Passes in
-  let idx = Array.make p.n 0 in
-  let rows pass buf ~tmp ~lo ~hi = pass p buf ~tmp ~idx ~row0:0 ~lo ~hi in
+  let rows pass ~lo ~hi =
+    let buf = f64 (p.m * p.n) and tmp = f64 (max p.m p.n) in
+    fill buf;
+    fill tmp;
+    with_trace (fun () ->
+        pass p buf ~tmp ~idx:(Array.make p.n 0) ~row0:0 ~lo ~hi)
+  in
+  let functor_ run ~lo ~hi =
+    let buf = Recording.of_region "matrix" (p.m * p.n)
+    and tmp = Recording.create (max p.m p.n) in
+    with_trace (fun () -> run buf ~tmp ~lo ~hi)
+  in
+  let rotate amount buf ~tmp ~lo ~hi =
+    RP.rotate_columns p buf ~tmp ~amount ~lo ~hi
+  in
   [
-    ( rotate_pre,
-      Cols,
-      fun buf ~tmp ~lo ~hi ->
-        K.rotate_columns p buf ~tmp ~amount:(Plan.rotate_amount p) ~lo ~hi );
-    ( rotate_post,
-      Cols,
-      fun buf ~tmp ~lo ~hi ->
-        K.rotate_columns p buf ~tmp
-          ~amount:(fun j -> -Plan.rotate_amount p j)
-          ~lo ~hi );
-    ( col_rotate,
-      Cols,
-      fun buf ~tmp ~lo ~hi ->
-        K.rotate_columns p buf ~tmp ~amount:(fun j -> j) ~lo ~hi );
-    ( col_unrotate,
-      Cols,
-      fun buf ~tmp ~lo ~hi ->
-        K.rotate_columns p buf ~tmp ~amount:(fun j -> -j) ~lo ~hi );
+    (rotate_pre, Cols, functor_ (rotate (Plan.rotate_amount p)));
+    (rotate_post, Cols, functor_ (rotate (fun j -> -Plan.rotate_amount p j)));
+    (col_rotate, Cols, functor_ (rotate (fun j -> j)));
+    (col_unrotate, Cols, functor_ (rotate (fun j -> -j)));
+    (row_shuffle_gather, Rows, functor_ (RP.row_shuffle_gather p));
+    (row_shuffle_scatter, Rows, functor_ (RP.row_shuffle_scatter p));
+    (row_shuffle_ungather, Rows, functor_ (RP.row_shuffle_ungather p));
     (row_shuffle_gather, Rows, rows K.row_shuffle_gather);
-    (row_shuffle_scatter, Rows, rows K.row_shuffle_scatter);
     (row_shuffle_ungather, Rows, rows K.row_shuffle_ungather);
-    (col_shuffle_gather, Cols, K.col_shuffle_gather p);
-    (col_shuffle_ungather, Cols, K.col_shuffle_ungather p);
+    (col_shuffle_gather, Cols, functor_ (RP.col_shuffle_gather p));
+    (col_shuffle_ungather, Cols, functor_ (RP.col_shuffle_ungather p));
     ( row_permute_q,
       Cols,
-      fun buf ~tmp ~lo ~hi -> K.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo ~hi
-    );
+      functor_ (fun buf ~tmp ~lo ~hi ->
+          RP.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo ~hi) );
     ( row_permute_q_inv,
       Cols,
-      fun buf ~tmp ~lo ~hi ->
-        K.permute_rows p buf ~tmp ~index:(Plan.q_inv p) ~lo ~hi );
+      functor_ (fun buf ~tmp ~lo ~hi ->
+          RP.permute_rows p buf ~tmp ~index:(Plan.q_inv p) ~lo ~hi) );
   ]
 
 let check_kernel_phases ~m ~n ~lo_frac ~hi_frac =
   let p = Plan.make ~m ~n in
-  let buf = f64 (m * n) and tmp = f64 (max m n) in
   List.iter
     (fun (summary, axis, run) ->
       let full = match axis with Rows -> m | Cols -> n in
       let lo = min full (lo_frac * full / 4)
       and hi = max 0 (hi_frac * full / 4) in
       let lo = min lo hi in
-      fill buf;
-      fill tmp;
-      let trace = with_trace (fun () -> run buf ~tmp ~lo ~hi) in
+      let trace = run ~lo ~hi in
       let env = ("lo", lo) :: ("hi", hi) :: Access.env_of_plan p in
       check_exact
         ~msg:(Printf.sprintf "m=%d n=%d lo=%d hi=%d" m n lo hi)
@@ -314,7 +353,7 @@ let fused_allowed (p : Plan.t) ~width =
   let renv = ("lo", 0) :: ("hi", p.m) :: base in
   table_of
     (List.concat_map
-       (fun env -> List.map (fun s -> (env, s)) Xpose_cpu.Fused_f64.Summary.all)
+       (fun env -> List.map (fun s -> (env, s)) Kernels_f64.stage_access)
        envs
     @ [
         (renv, Access.Passes.row_shuffle_gather);
@@ -346,7 +385,8 @@ let check_fused ~m ~n ~width =
     [
       (fun () -> FC.c2r ~panel_width:width p buf);
       (fun () -> FC.r2c ~panel_width:width p buf);
-      (fun () -> FC.c2r ~panel_width:width ~tier:Tune_params.Mk16 p buf);
+      (fun () ->
+        FC.c2r_pool ~panel_width:width Xpose_cpu.Pool.sequential p buf);
     ]
 
 let test_fused_grid () =

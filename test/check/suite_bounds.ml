@@ -53,6 +53,48 @@ let test_counterexample_search () =
        (Access.Passes.seeded_oob_rotate Access.Ix.rotate_amount)
     <> None)
 
+(* A summary whose divisor samples to 0: the parameter [k] starts at 0,
+   both a later parameter's bound and the access divide by it, and the
+   access overflows the region once [k >= 1]. The witness search must
+   skip the [k = 0] samples as infeasible and refute at [k = 1] -- not
+   raise [Division_by_zero]. *)
+let zero_divisor =
+  let open Access in
+  {
+    pass = "seeded.zero_divisor";
+    basis = Free_basis;
+    params =
+      [
+        { name = "k"; p_lo = num 0; p_his = [ var "m" ]; sample = [ 0; 1; 2 ] };
+        {
+          name = "j";
+          p_lo = num 0;
+          p_his = [ var "m" /: var "k" ];
+          sample = [ 0; 1 ];
+        };
+      ];
+    regions = [ { rname = "matrix"; size = var "m" *: var "n" } ];
+    body =
+      [
+        for_ "i" (num 0) (var "m")
+          [ read "matrix" ((var "m" *: var "n") +: (var "i" /: var "k")) ];
+      ];
+    exact = false;
+  }
+
+let test_zero_divisor_total () =
+  let r = Bounds.certify ~subject:"seeded/zero-divisor" zero_divisor in
+  Alcotest.(check bool) "not proved" false r.Bounds.proved;
+  Alcotest.(check bool)
+    "a refutation or no proof, never an exception" true
+    (r.Bounds.counterexample <> None
+    || contains r.Bounds.detail "no proof found");
+  match r.Bounds.counterexample with
+  | Some cx ->
+      Alcotest.(check bool) "witness past the zero divisor" true
+        (contains cx "k=1")
+  | None -> ()
+
 let tests =
   [
     Alcotest.test_case "rotate_pre proved" `Quick test_rotate_pre_proved;
@@ -60,4 +102,6 @@ let tests =
     Alcotest.test_case "seeded refuted" `Quick test_seeded_refuted;
     Alcotest.test_case "counterexample search" `Quick
       test_counterexample_search;
+    Alcotest.test_case "zero divisor: search stays total" `Quick
+      test_zero_divisor_total;
   ]

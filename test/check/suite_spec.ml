@@ -30,7 +30,12 @@ let check_against_model ~m ~n name model run =
         (S.get buf l) expected
   done
 
+(* Each pass model against the code that runs it: the functor's
+   per-column sweeps and row shuffles (Algo.Make, the paper reference),
+   the f64 engine's walk row passes, and its staged column passes, whose
+   maps compose the functor's sweeps. *)
 let test_pass_models_match_kernels () =
+  let module AP = Instances.F64.Phases in
   List.iter
     (fun (m, n) ->
       let p = Plan.make ~m ~n in
@@ -39,36 +44,45 @@ let test_pass_models_match_kernels () =
       let amount j = j in
       check_against_model ~m ~n "rotate_columns"
         (Spec.Passes.rotate_columns p ~amount)
-        (fun buf ->
-          Kernels_f64.Phases.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n);
+        (fun buf -> AP.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n);
       check_against_model ~m ~n "row_shuffle_gather"
+        (Spec.Passes.row_shuffle_gather p)
+        (fun buf -> AP.row_shuffle_gather p buf ~tmp ~lo:0 ~hi:m);
+      (* scatter is a different implementation of the same permutation *)
+      check_against_model ~m ~n "row_shuffle_scatter"
+        (Spec.Passes.row_shuffle_gather p)
+        (fun buf -> AP.row_shuffle_scatter p buf ~tmp ~lo:0 ~hi:m);
+      check_against_model ~m ~n "row_shuffle_ungather"
+        (Spec.Passes.row_shuffle_ungather p)
+        (fun buf -> AP.row_shuffle_ungather p buf ~tmp ~lo:0 ~hi:m);
+      check_against_model ~m ~n "walk row_shuffle_gather"
         (Spec.Passes.row_shuffle_gather p)
         (fun buf ->
           Kernels_f64.Phases.row_shuffle_gather p buf ~tmp ~idx ~row0:0 ~lo:0
             ~hi:m);
-      (* scatter is a different implementation of the same permutation *)
-      check_against_model ~m ~n "row_shuffle_scatter"
-        (Spec.Passes.row_shuffle_gather p)
-        (fun buf ->
-          Kernels_f64.Phases.row_shuffle_scatter p buf ~tmp ~idx ~row0:0 ~lo:0
-            ~hi:m);
-      check_against_model ~m ~n "row_shuffle_ungather"
+      check_against_model ~m ~n "walk row_shuffle_ungather"
         (Spec.Passes.row_shuffle_ungather p)
         (fun buf ->
           Kernels_f64.Phases.row_shuffle_ungather p buf ~tmp ~idx ~row0:0
             ~lo:0 ~hi:m);
       check_against_model ~m ~n "col_shuffle_gather"
         (Spec.Passes.col_shuffle_gather p)
-        (fun buf -> Kernels_f64.Phases.col_shuffle_gather p buf ~tmp ~lo:0 ~hi:n);
+        (fun buf -> AP.col_shuffle_gather p buf ~tmp ~lo:0 ~hi:n);
       check_against_model ~m ~n "col_shuffle_ungather"
         (Spec.Passes.col_shuffle_ungather p)
-        (fun buf ->
-          Kernels_f64.Phases.col_shuffle_ungather p buf ~tmp ~lo:0 ~hi:n);
+        (fun buf -> AP.col_shuffle_ungather p buf ~tmp ~lo:0 ~hi:n);
       check_against_model ~m ~n "permute_rows"
         (Spec.Passes.permute_rows p ~index:(Plan.q p))
-        (fun buf ->
-          Kernels_f64.Phases.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo:0
-            ~hi:n))
+        (fun buf -> AP.permute_rows p buf ~tmp ~index:(Plan.q p) ~lo:0 ~hi:n);
+      check_against_model ~m ~n "staged rotate"
+        (Spec.Passes.rotate_columns p ~amount)
+        (fun buf -> Kernels_f64.gather_cols p buf (Kernels_f64.rotate amount));
+      check_against_model ~m ~n "staged shuffle"
+        (Spec.Passes.col_shuffle_gather p)
+        (fun buf -> Kernels_f64.gather_cols p buf (Kernels_f64.shuffle p));
+      check_against_model ~m ~n "staged unshuffle"
+        (Spec.Passes.col_shuffle_ungather p)
+        (fun buf -> Kernels_f64.gather_cols p buf (Kernels_f64.unshuffle p)))
     shapes
 
 let compose_model passes =
@@ -87,7 +101,9 @@ let test_engine_models_match_engines () =
         | None -> ()
         | Some net -> check_against_model ~m ~n name net run
       in
-      check "kernels engine" Spec.Kernels (fun buf ->
+      check "functor engine" Spec.Functor (fun buf ->
+          Instances.F64.transpose ~m ~n buf);
+      check "kernels engine" Spec.Fused (fun buf ->
           Kernels_f64.transpose ~m ~n buf);
       check "fused engine" Spec.Fused (fun buf ->
           Xpose_cpu.Fused_f64.transpose ~m ~n buf);
@@ -95,11 +111,11 @@ let test_engine_models_match_engines () =
           if m > n then
             let p = Plan.make ~m ~n in
             let tmp = S.create (Plan.scratch_elements p) in
-            Kernels_f64.c2r ~variant:Algo.C2r_decomposed p buf ~tmp
+            Instances.F64.c2r ~variant:Algo.C2r_decomposed p buf ~tmp
           else
             let p = Plan.make ~m:n ~n:m in
             let tmp = S.create (Plan.scratch_elements p) in
-            Kernels_f64.r2c ~variant:Algo.R2c_decomposed p buf ~tmp))
+            Instances.F64.r2c ~variant:Algo.R2c_decomposed p buf ~tmp))
     shapes
 
 let test_transpose_target_matches_reality () =
@@ -152,9 +168,9 @@ let test_probes_in_range () =
 
 let test_verify_rejects_broken_model () =
   (* Sanity of the verifier itself: a wrong pipeline must not prove.
-     Drop the final pass of the kernels model and verify. *)
+     Drop the final pass of the functor model and verify. *)
   let m = 48 and n = 36 in
-  let passes = Spec.transpose_model Spec.Kernels ~m ~n in
+  let passes = Spec.transpose_model Spec.Functor ~m ~n in
   let truncated = List.filteri (fun i _ -> i < List.length passes - 1) passes in
   match compose_model truncated with
   | None -> Alcotest.fail "model is not empty for 48x36"

@@ -145,10 +145,6 @@ let check_movers ~m ~n =
       ( "ungather",
         Kernels_f64.Phases.row_shuffle_ungather,
         fun ~src ~i j -> src.((i * n) + Plan.d' p ~i j) );
-      (* the scatter moves the same permutation as the gather *)
-      ( "scatter",
-        Kernels_f64.Phases.row_shuffle_scatter,
-        fun ~src ~i j -> src.((i * n) + Plan.d'_inv p ~i j) );
     ]
   in
   for row0 = 0 to m - 1 do

@@ -82,9 +82,8 @@ let test_workspace_reuse_across_shapes () =
 
 let prop_fused_equals_oracle =
   QCheck2.Test.make ~name:"fused f64 c2r = generic c2r" ~count:120
-    QCheck2.Gen.(
-      quad (int_range 1 80) (int_range 1 80) (int_range 1 24) (int_range 1 80))
-    (fun (m, n, width, block_rows) ->
+    QCheck2.Gen.(triple (int_range 1 80) (int_range 1 80) (int_range 1 24))
+    (fun (m, n, width) ->
       let p = Plan.make ~m ~n in
       let expected =
         let buf = iota_buf (m * n) in
@@ -93,7 +92,7 @@ let prop_fused_equals_oracle =
         buf_to_list buf
       in
       let buf = iota_buf (m * n) in
-      F.c2r ~panel_width:width ~block_rows p buf;
+      F.c2r ~panel_width:width p buf;
       buf_to_list buf = expected)
 
 let prop_r2c_inverts =
@@ -138,10 +137,11 @@ let test_generic_fused_matches_oracle () =
     shapes
 
 let test_cols_match_sweeps () =
-  (* The staged column pass over any sub-range equals the two sweeps
-     over that range: in C2R the rotation by j then the row permutation
-     q, in R2C the permutation q^-1 then the rotation by -j. *)
-  let module K = Kernels_f64.Phases in
+  (* The staged column pass over any sub-range equals the functor's two
+     sweeps over that range: in C2R the rotation by j then the row
+     permutation q, in R2C the permutation q^-1 then the rotation by
+     -j. *)
+  let module K = A.Phases in
   List.iter
     (fun (m, n) ->
       let p = Plan.make ~m ~n in
@@ -367,86 +367,6 @@ let test_batch_split_policies_match_oracle () =
             [ 8; 32 ])
         policies)
 
-let test_tier_grid_matches_oracle () =
-  (* The kernel tier is a pure inner-loop knob: every tier x width pair
-     must be bit-identical to the oracle on every shape, including
-     shapes smaller than one block (m < bk forces the scalar tail),
-     degenerate m=1/n=1, and widths that do not divide n. *)
-  List.iter
-    (fun tier ->
-      List.iter
-        (fun panel_width ->
-          List.iter
-            (fun (m, n) ->
-              let p = Plan.make ~m ~n in
-              let expected = oracle_c2r m n in
-              let buf = iota_buf (m * n) in
-              F.c2r ~panel_width ~tier p buf;
-              Alcotest.(check (list (float 0.0)))
-                (Printf.sprintf "%s w%d c2r %dx%d"
-                   (Tune_params.tier_to_string tier)
-                   panel_width m n)
-                expected (buf_to_list buf);
-              F.r2c ~panel_width ~tier p buf;
-              Alcotest.(check (list (float 0.0)))
-                (Printf.sprintf "%s w%d r2c inverts %dx%d"
-                   (Tune_params.tier_to_string tier)
-                   panel_width m n)
-                (List.init (m * n) float_of_int)
-                (buf_to_list buf);
-              F.transpose ~panel_width ~tier ~m ~n buf;
-              Alcotest.(check (list (float 0.0)))
-                (Printf.sprintf "%s w%d transpose %dx%d"
-                   (Tune_params.tier_to_string tier)
-                   panel_width m n)
-                expected (buf_to_list buf))
-            shapes)
-        [ 8; 16; 24 ])
-    Tune_params.supported_tiers
-
-let test_tier_pool_and_batch_match_oracle () =
-  (* Tiers compose with the parallel drivers: the pooled engine and the
-     coalescing batch path produce oracle results at every tier. *)
-  with_pool 3 (fun pool ->
-      List.iter
-        (fun tier ->
-          List.iter
-            (fun (m, n) ->
-              let expected = oracle_c2r m n in
-              let buf = iota_buf (m * n) in
-              F.transpose_pool ~tier pool ~m ~n buf;
-              Alcotest.(check (list (float 0.0)))
-                (Printf.sprintf "%s pool %dx%d"
-                   (Tune_params.tier_to_string tier)
-                   m n)
-                expected (buf_to_list buf);
-              let bufs = Array.init 5 (fun _ -> iota_buf (m * n)) in
-              F.transpose_batch ~tier pool ~m ~n bufs;
-              Array.iteri
-                (fun b buf ->
-                  Alcotest.(check (list (float 0.0)))
-                    (Printf.sprintf "%s batch[%d] %dx%d"
-                       (Tune_params.tier_to_string tier)
-                       b m n)
-                    expected (buf_to_list buf))
-                bufs)
-            [ (97, 89); (48, 36); (40, 23) ])
-        Tune_params.supported_tiers)
-
-let prop_tiers_agree =
-  QCheck2.Test.make ~name:"mk tiers = scalar tier" ~count:120
-    QCheck2.Gen.(
-      quad (int_range 1 80) (int_range 1 80) (int_range 1 24) (int_range 1 40))
-    (fun (m, n, width, block_rows) ->
-      let p = Plan.make ~m ~n in
-      let run tier =
-        let buf = iota_buf (m * n) in
-        F.c2r ~panel_width:width ~block_rows ~tier p buf;
-        buf_to_list buf
-      in
-      let scalar = run Tune_params.Scalar in
-      run Tune_params.Mk8 = scalar && run Tune_params.Mk16 = scalar)
-
 (* The staging width depends on the shape: skinny shapes have the budget
    cap it (w = 1 once m > stage_elems / 2), while large-gcd and coprime
    near-square shapes take the panel width. Every path must transpose. *)
@@ -536,13 +456,8 @@ let tests =
       test_width_grid_matches_oracle;
     Alcotest.test_case "batch split policies vs oracle" `Quick
       test_batch_split_policies_match_oracle;
-    Alcotest.test_case "kernel tier grid vs oracle" `Quick
-      test_tier_grid_matches_oracle;
-    Alcotest.test_case "kernel tiers on pool and batch paths" `Quick
-      test_tier_pool_and_batch_match_oracle;
     QCheck_alcotest.to_alcotest prop_fused_equals_oracle;
     QCheck_alcotest.to_alcotest prop_r2c_inverts;
-    QCheck_alcotest.to_alcotest prop_tiers_agree;
     QCheck_alcotest.to_alcotest prop_staged_paths;
     Alcotest.test_case "one-column stagings" `Quick
       test_single_column_stagings;

@@ -61,34 +61,65 @@ let test_misaligned_file () =
         (Invalid_argument "File_matrix.with_map: file length is not a multiple of 8")
         (fun () -> File_matrix.with_map ~write:false ~path (fun _ -> ())))
 
-(* Edge shapes, each checked against the in-RAM kernels on an identical
-   buffer: degenerate rows/columns (the transpose is the identity),
-   prime x prime, and a shape whose fused-panel count (ceil (n/16) = 5)
-   is not a multiple of any pool worker count the suites use. *)
+(* The file holds the transpose of an iota m x n matrix: element l of
+   the n x m result is element (l mod m, l / m) of the original. *)
+let check_transposed ~msg ~path ~m ~n =
+  File_matrix.with_map ~write:false ~path (fun buf ->
+      let ok = ref true in
+      for l = 0 to (m * n) - 1 do
+        if Bigarray.Array1.get buf l <> float_of_int ((n * (l mod m)) + (l / m))
+        then ok := false
+      done;
+      Alcotest.(check bool) msg true !ok)
+
+let with_iota_file ~m ~n f =
+  let path = temp_path () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      File_matrix.create ~path ~elements:(m * n);
+      File_matrix.with_map ~path (fun buf ->
+          Storage.fill_iota (module Storage.Float64) buf);
+      f path)
+
+(* Edge shapes, each checked against the transpose index formula:
+   degenerate rows/columns (the transpose is the identity), prime x
+   prime, and a shape whose staging count (ceil (n/16) = 5) is not a
+   multiple of any pool worker count the suites use. *)
 let test_edge_shapes () =
   List.iter
     (fun (m, n) ->
-      let path = temp_path () in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          File_matrix.create ~path ~elements:(m * n);
-          let ram = Storage.Float64.create (m * n) in
-          Storage.fill_iota (module Storage.Float64) ram;
-          File_matrix.with_map ~path (fun buf ->
-              Storage.fill_iota (module Storage.Float64) buf);
-          Kernels_f64.transpose ~m ~n ram;
+      with_iota_file ~m ~n (fun path ->
           File_matrix.transpose_file ~path ~m ~n ();
-          File_matrix.with_map ~write:false ~path (fun buf ->
-              let ok = ref true in
-              for l = 0 to (m * n) - 1 do
-                if Bigarray.Array1.get buf l <> Storage.Float64.get ram l then
-                  ok := false
-              done;
-              Alcotest.(check bool)
-                (Printf.sprintf "%dx%d matches the in-RAM oracle" m n)
-                true !ok)))
+          check_transposed
+            ~msg:(Printf.sprintf "%dx%d matches the transpose formula" m n)
+            ~path ~m ~n))
     [ (1, 40); (40, 1); (13, 17); (23, 29); (31, 78) ]
+
+(* Tall files, where the staging budget narrows the column passes: past
+   stage_elems / 16 rows a staging holds fewer than 16 columns, past
+   stage_elems rows exactly one. Both files run on one workspace, and the
+   workspace's scratch stays within max(rows * w, rows). *)
+let test_narrow_stagings () =
+  let ws = Workspace.F64.create () in
+  List.iter
+    (fun (m, n, w) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d-row stagings" m)
+        w
+        (Kernels_f64.stage_width ~m ~panel_width:Kernels_f64.default_width);
+      with_iota_file ~m ~n (fun path ->
+          File_matrix.transpose_file ~ws ~path ~m ~n ();
+          check_transposed ~msg:(Printf.sprintf "%dx%d transposed" m n) ~path
+            ~m ~n);
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d scratch within max(m * w, m)" m n)
+        true
+        (Bigarray.Array1.dim (Workspace.F64.tmp ws 0) <= max (m * w) m))
+    [
+      ((Kernels_f64.stage_elems / 16) + 3, 37, 15);
+      (Kernels_f64.stage_elems + 5, 3, 1);
+    ]
 
 let test_workspace_reuse () =
   let path = temp_path () in
@@ -137,6 +168,8 @@ let () =
           Alcotest.test_case "misaligned file" `Quick test_misaligned_file;
           Alcotest.test_case "edge shapes vs in-RAM oracle" `Quick
             test_edge_shapes;
+          Alcotest.test_case "narrow and one-column stagings" `Quick
+            test_narrow_stagings;
           Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
           Alcotest.test_case "generic functor on map" `Quick
             test_generic_functor_on_map;

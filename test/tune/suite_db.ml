@@ -19,7 +19,6 @@ let tuned =
     panel_width = 32;
     batch_split = Tune_params.Hybrid 3;
     window_bytes = Some (1 lsl 22);
-    kernel_tier = Tune_params.Mk16;
   }
 
 let test_roundtrip () =
@@ -47,24 +46,58 @@ let test_roundtrip () =
       Alcotest.(check string)
         "serialization is deterministic" json (Db.to_json db')
 
-let test_pre_tier_entries_load () =
-  (* DBs written before the kernel-tier axis carry no "kernel_tier"
-     field; they must load as scalar-tier entries, not errors. *)
-  let json =
-    "{\"version\": 1, \"fingerprint\": \"fp\", \"entries\": [{\"m\": 8, \
-     \"n\": 6, \"nb\": 1, \"engine\": \"fused\", \"panel_width\": 16, \
+let legacy_db entries =
+  "{\"version\": 1, \"fingerprint\": \"fp\", \"entries\": ["
+  ^ String.concat ", " entries
+  ^ "]}"
+
+let legacy_entry ~m ~extra =
+  Printf.sprintf
+    "{\"m\": %d, \"n\": 6, \"nb\": 1, %s\"panel_width\": 32, \
      \"batch_split\": \"auto\", \"predicted_ns\": 1.0, \"measured_ns\": 1.0, \
-     \"default_ns\": 1.0, \"roofline_frac\": 0.5}]}"
+     \"default_ns\": 1.0, \"roofline_frac\": 0.5}"
+    m extra
+
+let test_legacy_entries_load () =
+  (* DBs from before the tier axis (no "kernel_tier"), from while it
+     existed ("kernel_tier": "mk16"), and entries naming the retired
+     kernels and cache engines all load: the tier is ignored and a
+     retired engine becomes the default engine. *)
+  let json =
+    legacy_db
+      [
+        legacy_entry ~m:8 ~extra:"\"engine\": \"fused\", ";
+        legacy_entry ~m:9
+          ~extra:"\"engine\": \"kernels\", \"kernel_tier\": \"mk16\", ";
+        legacy_entry ~m:10
+          ~extra:"\"engine\": \"cache\", \"kernel_tier\": \"scalar\", ";
+      ]
   in
   match Db.of_json json with
-  | Error msg -> Alcotest.failf "pre-tier DB rejected: %s" msg
-  | Ok db -> (
-      match Db.find db ~m:8 ~n:6 with
-      | Some e ->
-          Alcotest.(check bool)
-            "defaults to scalar tier" true
-            (e.Db.params.Tune_params.kernel_tier = Tune_params.Scalar)
-      | None -> Alcotest.fail "entry missing")
+  | Error msg -> Alcotest.failf "legacy DB rejected: %s" msg
+  | Ok db ->
+      List.iter
+        (fun m ->
+          match Db.find db ~m ~n:6 with
+          | Some e ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%dx6 runs the default engine, width kept" m)
+                true
+                (Tune_params.equal e.Db.params
+                   { Tune_params.default with panel_width = 32 })
+          | None -> Alcotest.failf "entry %dx6 missing" m)
+        [ 8; 9; 10 ];
+      Alcotest.(check bool)
+        "re-serialized without the retired fields" false
+        (let s = Db.to_json db in
+         let has sub =
+           let ls = String.length s and lb = String.length sub in
+           let rec go i =
+             i + lb <= ls && (String.sub s i lb = sub || go (i + 1))
+           in
+           go 0
+         in
+         has "kernel_tier" || has "kernels")
 
 let test_add_replaces () =
   let db = Db.create ~fingerprint:"f" in
@@ -162,8 +195,8 @@ let test_validation () =
 let tests =
   [
     Alcotest.test_case "JSON round-trip" `Quick test_roundtrip;
-    Alcotest.test_case "pre-tier DBs load as scalar" `Quick
-      test_pre_tier_entries_load;
+    Alcotest.test_case "legacy tier and engine fields load" `Quick
+      test_legacy_entries_load;
     Alcotest.test_case "add replaces per shape" `Quick test_add_replaces;
     Alcotest.test_case "hostile bytes are errors" `Quick test_hostile_bytes;
     Alcotest.test_case "load: fresh / loaded / invalidated" `Quick

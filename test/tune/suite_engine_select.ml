@@ -72,10 +72,7 @@ let test_window_capped_at_tenant () =
 
 let dispatch_cases =
   [
-    ("kernels", { Tune_params.default with engine = Tune_params.Kernels });
-    ( "cache w8",
-      { Tune_params.default with engine = Tune_params.Cache; panel_width = 8 }
-    );
+    ("fused w8", { Tune_params.default with panel_width = 8 });
     ("fused w16", Tune_params.default);
     ("fused w64", { Tune_params.default with panel_width = 64 });
     ( "ooc 1MiB",
@@ -127,7 +124,7 @@ let test_dispatch_batch_matches_oracle () =
               Tune_params.Hybrid 2;
             ])
         [
-          ("kernels", { Tune_params.default with engine = Tune_params.Kernels });
+          ("fused w16", Tune_params.default);
           ("fused w32", { Tune_params.default with panel_width = 32 });
         ])
 

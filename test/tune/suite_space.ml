@@ -30,6 +30,14 @@ let test_candidates_contain_default () =
 let test_candidates_axes () =
   let space = Space.make () in
   let single = Space.candidates space ~nb:1 in
+  (* The in-RAM engine is the only default candidate engine; the
+     out-of-core one joins with windows. *)
+  let engines_in cs =
+    List.sort_uniq compare (List.map (fun (c : Tune_params.t) -> c.engine) cs)
+  in
+  Alcotest.(check bool)
+    "default space: fused only" true
+    (engines_in (Space.candidates space ~nb:8) = [ Tune_params.Fused ]);
   (* nb = 1 collapses the split axis: no candidate carries a non-Auto
      split. *)
   Alcotest.(check bool)
@@ -61,11 +69,16 @@ let test_candidates_axes () =
   let with_ooc =
     Space.candidates
       (Space.make
-         ~engines:
-           [ Tune_params.Kernels; Tune_params.Fused; Tune_params.Ooc ]
+         ~engines:[ Tune_params.Fused; Tune_params.Ooc ]
          ~windows:[ 1 lsl 20 ] ())
       ~nb:1
   in
+  Alcotest.(check bool)
+    "with windows: fused and ooc" true
+    (engines_in with_ooc = [ Tune_params.Fused; Tune_params.Ooc ]);
+  Alcotest.(check bool)
+    "the default is a candidate with windows too" true
+    (List.exists (Tune_params.equal Tune_params.default) with_ooc);
   Alcotest.(check bool)
     "windows switch the ooc axis on" true
     (List.exists
