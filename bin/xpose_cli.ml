@@ -269,7 +269,6 @@ let engine_conv =
       ("cache", `Cache);
       ("fused", `Fused);
       ("ooc", `Ooc);
-      ("tuned", `Tuned);
     ]
 
 let engine_arg =
@@ -277,33 +276,10 @@ let engine_arg =
     value & opt engine_conv `Functor
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "One of functor, decomposed, cache, fused, ooc, tuned. The tuned \
-           engine looks the shape up in a tuning DB written by $(b,xpose \
-           tune) (pass --db) and runs whatever won there. See the bench \
+          "One of functor, decomposed, cache, fused, ooc. See the bench \
            suite for what each measures.")
 
 module CA = Xpose_cpu.Cache_aware.Make (S)
-module ES = Xpose_tune.Engine_select
-
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load_tuning_db file =
-  match read_whole_file file with
-  | exception Sys_error msg -> Error msg
-  | bytes -> Xpose_tune.Db.of_json bytes
-
-let db_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "db" ] ~docv:"FILE"
-        ~doc:
-          "Tuning DB written by $(b,xpose tune); required by the tuned \
-           engine, ignored by the others.")
 
 let transpose_engine ~engine ~algorithm ~m ~n buf =
   match engine with
@@ -322,10 +298,6 @@ let transpose_engine ~engine ~algorithm ~m ~n buf =
       (* bench routes the ooc engine to its file path before reaching
          here; the other subcommands reject it. *)
       invalid_arg "the ooc engine transposes files, not in-RAM buffers"
-  | `Tuned ->
-      (* bench builds a selector from --db before reaching here; the
-         other subcommands reject it. *)
-      invalid_arg "the tuned engine needs a tuning DB (xpose bench --db)"
 
 (* The out-of-core bench leg: stage an iota matrix in a temp file,
    transpose it in place in the file under the window budget, verify
@@ -397,7 +369,7 @@ let bench_cmd =
             "Disable the ooc engine's I/O-domain double-buffered prefetch \
              (windows are mapped synchronously).")
   in
-  let run m n algorithm engine batch workers window_bytes no_prefetch db =
+  let run m n algorithm engine batch workers window_bytes no_prefetch =
     if m < 1 || n < 1 then `Error (false, "dimensions must be positive")
     else if batch < 1 then `Error (false, "batch must be >= 1")
     else if workers < 1 then `Error (false, "workers must be >= 1")
@@ -408,20 +380,6 @@ let bench_cmd =
     else if engine = `Ooc then
       bench_ooc ~m ~n ~workers ~window_bytes ~prefetch:(not no_prefetch)
     else begin
-      let selector =
-        match (engine, db) with
-        | `Tuned, None ->
-            Error "--engine tuned needs --db FILE (written by xpose tune)"
-        | `Tuned, Some file -> (
-            match load_tuning_db file with
-            | Ok tdb -> Ok (Some (ES.create ~db:tdb ()))
-            | Error msg ->
-                Error (Printf.sprintf "cannot load tuning DB %s: %s" file msg))
-        | _ -> Ok None
-      in
-      match selector with
-      | Error msg -> `Error (false, msg)
-      | Ok selector ->
       let bufs =
         Array.init batch (fun _ ->
             let buf = S.create (m * n) in
@@ -430,28 +388,17 @@ let bench_cmd =
       in
       let t0 = Unix.gettimeofday () in
       (if batch = 1 && workers = 1 then
-         (match (selector, engine) with
-         | Some sel, _ -> ES.dispatch sel ~m ~n bufs.(0)
-         | None, `Fused -> Xpose_cpu.Fused_f64.transpose ~m ~n bufs.(0)
-         | None, _ -> transpose_engine ~engine ~algorithm ~m ~n bufs.(0))
+         transpose_engine ~engine ~algorithm ~m ~n bufs.(0)
        else
          Xpose_cpu.Pool.with_pool ~workers (fun pool ->
-             match (engine, selector) with
-             | _, Some sel -> ES.dispatch_batch sel pool ~m ~n bufs
-             | `Fused, None ->
-                 Xpose_cpu.Fused_f64.transpose_batch pool ~m ~n bufs
+             match engine with
+             | `Fused -> Xpose_cpu.Fused_f64.transpose_batch pool ~m ~n bufs
              | _ ->
                  (* Other engines have no batched path: fan the serial
                     engine across the pool. *)
                  Xpose_cpu.Pool.parallel_for pool ~lo:0 ~hi:batch (fun b ->
                      transpose_engine ~engine ~algorithm ~m ~n bufs.(b))));
       let dt = Unix.gettimeofday () -. t0 in
-      (match selector with
-      | Some sel ->
-          Printf.printf "tuned: %s (%s)\n"
-            (Tune_params.to_string (ES.params_for sel ~m ~n))
-            (if ES.hits sel > 0 then "db hit" else "db miss, default")
-      | None -> ());
       let bytes = 2.0 *. float_of_int (batch * m * n * 8) in
       let gbps = bytes /. (dt *. 1e9) in
       if batch = 1 then
@@ -480,7 +427,7 @@ let bench_cmd =
   cmd (Cmd.info "bench" ~doc)
     Term.(
       const run $ m_arg $ n_arg $ algorithm_arg $ engine_arg $ batch_arg
-      $ workers_arg $ window_bytes_arg $ no_prefetch_arg $ db_arg)
+      $ workers_arg $ window_bytes_arg $ no_prefetch_arg)
 
 let permute_cmd =
   let doc =
@@ -593,7 +540,7 @@ let report_cmd =
       in
       match (algorithm, engine) with
       | `Cycle, _ -> `Error (false, "report: algorithm must be c2r or r2c")
-      | _, (`Decomposed | `Cache | `Ooc | `Tuned) ->
+      | _, (`Decomposed | `Cache | `Ooc) ->
           `Error (false, "report: engine must be functor or fused")
       | (`C2r | `R2c) as algorithm, ((`Functor | `Fused) as engine) ->
           let transpose_once pool buf =
@@ -876,20 +823,9 @@ let serve_cmd =
       & info [ "metrics-interval-s" ] ~docv:"S"
           ~doc:"Seconds between metrics-file dumps.")
   in
-  let tuning_db_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tuning-db" ] ~docv:"FILE"
-          ~doc:
-            "Tuning DB written by $(b,xpose tune): dispatches consult it \
-             per shape (tuned engine, panel width, batch split; ooc window \
-             capped at the tenant's). Missing or unreadable files degrade \
-             to default parameters.")
-  in
   let run socket workers budget quota window tenants max_queue_jobs
       max_queue_bytes coalesce_us max_batch no_prefetch metrics_file
-      metrics_interval tuning_db =
+      metrics_interval =
     if workers < 1 then `Error (false, "workers must be >= 1")
     else if budget < 8 then `Error (false, "budget-bytes must be >= 8")
     else if quota < 8 then `Error (false, "quota-bytes must be >= 8")
@@ -914,7 +850,6 @@ let serve_cmd =
           prefetch = not no_prefetch;
           metrics_file;
           metrics_interval_s = metrics_interval;
-          tuning_db;
         }
       in
       let server = Xpose_server.Server.start cfg in
@@ -945,7 +880,7 @@ let serve_cmd =
       const run $ socket_arg $ workers_arg $ budget_arg $ quota_arg
       $ window_arg $ tenant_arg $ max_queue_jobs_arg $ max_queue_bytes_arg
       $ coalesce_us_arg $ max_batch_arg $ no_prefetch_arg $ metrics_file_arg
-      $ metrics_interval_arg $ tuning_db_arg)
+      $ metrics_interval_arg)
 
 (* Pull one "name": value field out of the stats JSON without a JSON
    dependency: the server emits flat two-level objects with quoted keys,
@@ -1032,19 +967,7 @@ let loadtest_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Also write the JSON report to $(docv).")
   in
-  let lt_engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("fused", `Fused); ("tuned", `Tuned) ]) `Fused
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "fused reports the classic serving counters; tuned additionally \
-             reports the server's tuning-DB hit ratio (tune_db.hits / \
-             tune_db.misses) — run the server with $(b,--tuning-db) for the \
-             lookups to hit.")
-  in
-  let run socket clients requests shapes min_elems max_elems seed tenant out
-      lt_engine =
+  let run socket clients requests shapes min_elems max_elems seed tenant out =
     if clients < 1 then `Error (false, "clients must be >= 1")
     else if requests < 1 then `Error (false, "requests must be >= 1")
     else if shapes < 1 then `Error (false, "shapes must be >= 1")
@@ -1189,17 +1112,6 @@ let loadtest_cmd =
         (counter "ooc.window_peak_bytes");
       Printf.bprintf b "  \"plan_cache_hits\": %.0f,\n"
         (counter "plan_cache.hits");
-      (match lt_engine with
-      | `Fused -> ()
-      | `Tuned ->
-          let hits = counter "tune_db.hits"
-          and misses = counter "tune_db.misses" in
-          let total = hits +. misses in
-          Printf.bprintf b
-            "  \"tune_db_hits\": %.0f,\n  \"tune_db_misses\": %.0f,\n\
-            \  \"tune_db_hit_ratio\": %.3f,\n"
-            hits misses
-            (if total > 0.0 then hits /. total else 0.0));
       Printf.bprintf b "  \"server_stats\": %s}\n"
         (String.trim stats);
       let report = Buffer.contents b in
@@ -1221,272 +1133,7 @@ let loadtest_cmd =
   cmd (Cmd.info "loadtest" ~doc)
     Term.(
       const run $ socket_arg $ clients_arg $ requests_arg $ shapes_arg
-      $ min_elems_arg $ max_elems_arg $ seed_arg $ tenant_name_arg $ out_arg
-      $ lt_engine_arg)
-
-let tune_cmd =
-  let doc =
-    "Tune shapes against the machine's calibration: price the \
-     engine/panel-width/batch-split/window search space with the \
-     calibrated cost model, time the surviving candidates (best-of-N, \
-     bounded by --budget-ms per shape), and record each shape's winner in \
-     a persistent tuning DB consumed by $(b,--engine tuned), $(b,xpose \
-     serve --tuning-db), and the server's dispatcher. The DB is stamped \
-     with the calibration fingerprint: re-running is pure DB hits (zero \
-     timing runs) until the calibration changes, which discards every \
-     entry and re-tunes."
-  in
-  let shapes_pos_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"MxN[xNB]"
-          ~doc:
-            "Shapes to tune, e.g. 512x384 or 512x384x4 (NB = batch size, \
-             default 1).")
-  in
-  let db_file_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:"Tuning DB to read, update, and atomically rewrite.")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt float 500.0
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-shape timing budget. The model-predicted best candidate \
-             and the default configuration are always timed, whatever the \
-             budget, so the winner is never slower than the default.")
-  in
-  let repeats_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"R"
-          ~doc:"Best-of-$(docv) timing per candidate.")
-  in
-  let keep_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "keep" ] ~docv:"K"
-          ~doc:"Candidates surviving the cost-model prune, per shape.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"W"
-          ~doc:
-            "Worker domains: tune the pool-parallel variants (batch splits \
-             become meaningful).")
-  in
-  let ooc_window_arg =
-    Arg.(
-      value & opt_all int []
-      & info [ "ooc-window" ] ~docv:"BYTES"
-          ~doc:
-            "Also consider the out-of-core engine at this residency window \
-             (repeatable). Off by default: staging through a file rarely \
-             wins for shapes that fit in RAM.")
-  in
-  let replay_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "replay" ] ~docv:"S"
-          ~doc:
-            "Instead of (or besides) positional shapes, tune $(docv) \
-             distinct shapes drawn from the loadtest traffic distribution \
-             (element counts log-uniform over --min-elems..--max-elems), \
-             so a server fed by that workload hits the DB.")
-  in
-  let min_elems_arg =
-    Arg.(
-      value & opt int 1000
-      & info [ "min-elems" ] ~docv:"E"
-          ~doc:"Smallest replayed element count.")
-  in
-  let max_elems_arg =
-    Arg.(
-      value & opt int 250000
-      & info [ "max-elems" ] ~docv:"E"
-          ~doc:"Largest replayed element count.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Replay distribution seed.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a bench JSON ({name, ns_per_run} pairs: each shape's \
-             tuned winner and its measured default) consumable by $(b,xpose \
-             obs diff) — the CI gate that tuned never regresses.")
-  in
-  let parse_shape str =
-    match String.split_on_char 'x' (String.lowercase_ascii str) with
-    | [ m; n ] -> (
-        match (int_of_string_opt m, int_of_string_opt n) with
-        | Some m, Some n when m >= 1 && n >= 1 -> Some (m, n, 1)
-        | _ -> None)
-    | [ m; n; nb ] -> (
-        match (int_of_string_opt m, int_of_string_opt n, int_of_string_opt nb)
-        with
-        | Some m, Some n, Some nb when m >= 1 && n >= 1 && nb >= 1 ->
-            Some (m, n, nb)
-        | _ -> None)
-    | _ -> None
-  in
-  (* Same generator as [loadtest]: tuning the replayed distribution
-     makes the loadtest's traffic hit the DB. *)
-  let replay_shapes ~shapes ~min_elems ~max_elems ~seed =
-    let rng = Random.State.make [| seed |] in
-    List.init shapes (fun _ ->
-        let lo = log (float_of_int min_elems)
-        and hi = log (float_of_int max_elems) in
-        let target =
-          int_of_float (exp (lo +. Random.State.float rng (hi -. lo)))
-        in
-        let m = 16 + Random.State.int rng 497 in
-        let n = max 1 (target / m) in
-        (m, n, 1))
-  in
-  let run shape_strs db_file budget_ms repeats keep workers ooc_windows
-      replay min_elems max_elems seed bench_out =
-    let bad = List.filter (fun s -> parse_shape s = None) shape_strs in
-    if bad <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "cannot parse shape %s (want MxN or MxNxNB)"
-            (List.hd bad) )
-    else if replay < 0 then `Error (false, "replay must be >= 0")
-    else if replay > 0 && (min_elems < 4 || max_elems < min_elems) then
-      `Error (false, "need 4 <= min-elems <= max-elems")
-    else if budget_ms < 0.0 then `Error (false, "budget-ms must be >= 0")
-    else if repeats < 1 then `Error (false, "repeats must be >= 1")
-    else if keep < 1 then `Error (false, "keep must be >= 1")
-    else if workers < 1 then `Error (false, "workers must be >= 1")
-    else if List.exists (fun w -> w < 8) ooc_windows then
-      `Error (false, "ooc-window must be >= 8")
-    else begin
-      let shapes =
-        List.filter_map parse_shape shape_strs
-        @ (if replay > 0 then
-             replay_shapes ~shapes:replay ~min_elems ~max_elems ~seed
-           else [])
-      in
-      match (shapes, !calibration) with
-      | [], _ -> `Error (false, "nothing to tune: give shapes or --replay N")
-      | _, None ->
-          `Error
-            ( false,
-              "tune needs the machine's roofs: pass --calibration FILE \
-               (from xpose obs calibrate)" )
-      | shapes, Some cal -> (
-          let fingerprint = Xpose_obs.Calibrate.fingerprint cal in
-          match Xpose_tune.Db.load ~file:db_file ~fingerprint with
-          | Error msg ->
-              `Error
-                (false, Printf.sprintf "cannot load %s: %s" db_file msg)
-          | Ok (db, status) ->
-              Printf.printf "tuning DB %s: %s\n" db_file
-                (match status with
-                | Xpose_tune.Db.Fresh -> "fresh (no previous file)"
-                | Xpose_tune.Db.Loaded ->
-                    Printf.sprintf "loaded (%d entries, calibration matches)"
-                      (Xpose_tune.Db.length db)
-                | Xpose_tune.Db.Invalidated ->
-                    "invalidated (calibration changed - re-tuning everything)");
-              let space =
-                if ooc_windows = [] then Xpose_tune.Space.make ()
-                else
-                  Xpose_tune.Space.make
-                    ~engines:[ Tune_params.Fused; Tune_params.Ooc ]
-                    ~windows:ooc_windows ()
-              in
-              let tune_all pool =
-                Xpose_tune.Tuner.tune ?pool ~db_file ~cal ~db ~space
-                  ~budget_ms ~repeats ~keep shapes
-              in
-              let outcomes =
-                if workers = 1 then tune_all None
-                else
-                  Xpose_cpu.Pool.with_pool ~workers (fun pool ->
-                      tune_all (Some pool))
-              in
-              let db_hits = ref 0 and timed_total = ref 0 in
-              List.iter
-                (fun (o : Xpose_tune.Tuner.outcome) ->
-                  if o.db_hit then incr db_hits;
-                  timed_total := !timed_total + o.timed;
-                  let w = o.winner in
-                  let speedup =
-                    if w.Xpose_tune.Measure.measured_ns > 0.0 then
-                      o.default_ns /. w.Xpose_tune.Measure.measured_ns
-                    else 1.0
-                  in
-                  Printf.printf
-                    "%dx%d nb=%d: %s %s  %.0f ns/matrix (predicted %.0f, \
-                     default %.0f, %.2fx, %.2f roofline)%s\n"
-                    o.m o.n o.nb
-                    (if o.db_hit then "db-hit" else "tuned ")
-                    (Tune_params.to_string w.Xpose_tune.Measure.params)
-                    w.Xpose_tune.Measure.measured_ns
-                    w.Xpose_tune.Measure.predicted_ns o.default_ns speedup
-                    w.Xpose_tune.Measure.roofline_frac
-                    (if o.db_hit then ""
-                     else
-                       Printf.sprintf " [timed %d, pruned %d]" o.timed
-                         o.pruned))
-                outcomes;
-              Printf.printf
-                "shapes=%d db_hits=%d tuned=%d timing_runs=%d db_entries=%d\n"
-                (List.length outcomes) !db_hits
-                (List.length outcomes - !db_hits)
-                !timed_total
-                (Xpose_tune.Db.length db);
-              (match bench_out with
-              | None -> ()
-              | Some file ->
-                  let b = Buffer.create 1024 in
-                  Buffer.add_string b
-                    "{\n  \"suite\": \"xpose\",\n  \"benchmarks\": [\n";
-                  let lines =
-                    List.concat_map
-                      (fun (o : Xpose_tune.Tuner.outcome) ->
-                        let name kind =
-                          Printf.sprintf "tune/%dx%d/%s" o.m o.n kind
-                        in
-                        [
-                          ( name "tuned",
-                            o.winner.Xpose_tune.Measure.measured_ns );
-                          (name "fused_default", o.default_ns);
-                        ])
-                      outcomes
-                  in
-                  List.iteri
-                    (fun i (name, ns) ->
-                      Printf.bprintf b
-                        "    {\"name\": \"%s\", \"ns_per_run\": %.3f}%s\n"
-                        name ns
-                        (if i = (2 * List.length outcomes) - 1 then "" else ","))
-                    lines;
-                  Buffer.add_string b "  ]\n}\n";
-                  let oc = open_out file in
-                  output_string oc (Buffer.contents b);
-                  close_out oc;
-                  Printf.eprintf "bench JSON written to %s\n%!" file);
-              `Ok ())
-    end
-  in
-  cmd (Cmd.info "tune" ~doc)
-    Term.(
-      const run $ shapes_pos_arg $ db_file_arg $ budget_arg $ repeats_arg
-      $ keep_arg $ workers_arg $ ooc_window_arg $ replay_arg $ min_elems_arg
-      $ max_elems_arg $ seed_arg $ bench_out_arg)
+      $ min_elems_arg $ max_elems_arg $ seed_arg $ tenant_name_arg $ out_arg)
 
 let obs_calibrate_cmd =
   let doc =
@@ -1674,7 +1321,6 @@ let main =
       check_cmd;
       serve_cmd;
       loadtest_cmd;
-      tune_cmd;
       stats_cmd;
       obs_cmd;
     ]

@@ -301,8 +301,8 @@ let kernel_results () =
 (* The panel primitives of the generic Fused.Make (the Cache engine's
    reference) and the stage-and-gather column passes of the f64
    engine. Each summary is certified once for every width and again
-   pinned at each shipped width, so the certificate the autotuner's
-   choice rests on is named in the grid (still no shape enumerated). *)
+   pinned at each width of [Spec.widths], so each proved staging width
+   is named in the grid (still no shape enumerated). *)
 let fused_results ~widths () =
   List.concat_map
     (fun (s : Access.summary) ->
@@ -321,7 +321,7 @@ let ooc_results () =
       certify ~subject:(Printf.sprintf "%s" s.pass) s)
     Xpose_ooc.Ooc_access.all
 
-(* Roll-up entries: an engine (or batch policy, or ooc pipeline) is
+(* Roll-up entries: an engine (or the batch driver, or ooc pipeline) is
    certified when every pass certificate it schedules is. These carry
    no new proofs -- they make the grid answer "is engine X safe for all
    shapes?" directly. *)
@@ -393,19 +393,14 @@ let engine_rollups results =
     ]
   in
   let batch =
-    List.map
-      (fun (policy, why) ->
-        rollup results
-          ~subject:(Printf.sprintf "batch %s" policy)
-          ~detail:why ~passes:staged)
-      [
-        ( "auto",
-          "matrix-parallel (serial engine per lane) or panel-parallel \
-           (pool pipeline); both reduce to the fused certificates" );
-        ("matrix-parallel", "each lane runs the serial fused pipeline");
-        ("panel-parallel", "pool pipeline; chunk sub-ranges are quantified");
-        ("hybrid:2", "policy only picks between the two certified schedules");
-      ]
+    [
+      rollup results ~subject:"batch"
+        ~detail:
+          "matrix-parallel (serial engine per lane) when nb >= lanes, \
+           panel-parallel (pool pipeline) otherwise; both reduce to the \
+           fused certificates"
+        ~passes:staged;
+    ]
   in
   let ooc =
     [
@@ -425,8 +420,7 @@ let seeded_result () =
   certify ~subject:"seeded/rotate-oob"
     (Access.Passes.seeded_oob_rotate Access.Ix.rotate_amount)
 
-let run ?(widths = Xpose_core.Tune_params.supported_widths)
-    ?(seed_oob_static = false) () : result list =
+let run ?(widths = Spec.widths) ?(seed_oob_static = false) () : result list =
   let base = kernel_results () @ fused_results ~widths () @ ooc_results () in
   let rollups = engine_rollups base in
   let seeded = if seed_oob_static then [ seeded_result () ] else [] in

@@ -47,7 +47,6 @@ val seeded_result : unit -> result
 val run : ?widths:int list -> ?seed_oob_static:bool -> unit -> result list
 (** The full certificate grid: kernel pipeline passes, fused panel
     passes (symbolic width plus each pinned width, default
-    {!Xpose_core.Tune_params.supported_widths}), out-of-core passes,
-    per-engine and per-batch-policy roll-ups, and -- when
-    [seed_oob_static] -- the seeded off-by-one summary that must be
-    refuted. *)
+    {!Spec.widths}), out-of-core passes, per-engine and batch roll-ups,
+    and -- when [seed_oob_static] -- the seeded off-by-one summary that
+    must be refuted. *)

@@ -147,8 +147,8 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
   let split =
     if seeded then Footprint.off_by_one_split else Footprint.pool_split
   in
-  (* Panel engines are proved at every width the autotuner may pick;
-     the row/column engines have no panel geometry, so one entry each
+  (* Panel engines are proved at every width in [Spec.widths]; the
+     row/column engines have no panel geometry, so one entry each
      suffices. *)
   let panel_engine engine =
     match (engine : Spec.engine) with
@@ -156,7 +156,7 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
     | Spec.Functor | Spec.Decomposed -> false
   in
   let widths_of engine =
-    if panel_engine engine then Tune_params.supported_widths
+    if panel_engine engine then Spec.widths
     else [ Footprint.default_panel_width ]
   in
   let engine_entries =
@@ -184,13 +184,9 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
           Spec.all_engines)
       shapes
   in
-  (* Every tunable batch-split policy is proved at every batch size the
-     policies disagree on, and at every supported panel width (the
-     panel-parallel side inherits the panel barriers). *)
-  let batch_policies =
-    Tune_params.
-      [ Auto; Matrix_parallel; Panel_parallel; Hybrid 2 ]
-  in
+  (* The batch driver is proved at the batch sizes on both sides of its
+     matrix- vs panel-parallel rule (nb >= lanes), and at every width
+     (the panel-parallel side inherits the panel barriers). *)
   let batch_entries =
     List.concat_map
       (fun (m, n) ->
@@ -198,20 +194,16 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
           (fun l ->
             List.concat_map
               (fun nb ->
-                List.concat_map
-                  (fun policy ->
-                    List.filter_map
-                      (fun width ->
-                        let subject =
-                          Printf.sprintf "batch[%d] %s w%d %dx%d @%d lanes" nb
-                            (Tune_params.split_to_string policy)
-                            width m n l
-                        in
-                        race_entry ~subject ~seeded
-                          (Footprint.batch_barriers ~split ~policy ~width
-                             ~lanes:l ~m ~n ~nb ()))
-                      Tune_params.supported_widths)
-                  batch_policies)
+                List.filter_map
+                  (fun width ->
+                    let subject =
+                      Printf.sprintf "batch[%d] w%d %dx%d @%d lanes" nb width
+                        m n l
+                    in
+                    race_entry ~subject ~seeded
+                      (Footprint.batch_barriers ~split ~width ~lanes:l ~m ~n
+                         ~nb ()))
+                  Spec.widths)
               [ 1; l; (2 * l) + 1 ])
           lanes)
       [ (32, 48); (97, 89) ]

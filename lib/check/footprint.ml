@@ -243,26 +243,16 @@ let transpose_barriers ?(split = pool_split) ?(width = default_panel_width)
       panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
         ~c2r_side
 
-(* Fused_f64.transpose_batch under a split policy: batch-parallel when
-   the policy says so for this batch size (each lane owns whole
-   matrices), panel-parallel per matrix otherwise. [policy] mirrors the
-   engine's decision rule exactly — the proof must model the schedule
-   the tuned engine will actually run. *)
-let batch_barriers ?(split = pool_split) ?(policy = Tune_params.Auto)
-    ?(width = default_panel_width) ~lanes ~m ~n ~nb () =
+(* Fused_f64.transpose_batch: batch-parallel when the batch has a matrix
+   for every lane (each lane owns whole matrices), panel-parallel per
+   matrix otherwise -- the engine's own rule, so the proof models the
+   schedule the engine runs. *)
+let batch_barriers ?(split = pool_split) ?(width = default_panel_width) ~lanes
+    ~m ~n ~nb () =
   if nb = 0 then []
   else begin
     let len = m * n in
-    let matrix_parallel =
-      lanes = 1
-      ||
-      match policy with
-      | Tune_params.Auto -> nb >= lanes
-      | Tune_params.Matrix_parallel -> true
-      | Tune_params.Panel_parallel -> false
-      | Tune_params.Hybrid t -> nb >= t
-    in
-    if matrix_parallel then
+    if nb >= lanes then
       [
         {
           name = "batch";

@@ -98,7 +98,6 @@ val transpose_barriers :
 
 val batch_barriers :
   ?split:split ->
-  ?policy:Xpose_core.Tune_params.batch_split ->
   ?width:int ->
   lanes:int ->
   m:int ->
@@ -106,11 +105,10 @@ val batch_barriers :
   nb:int ->
   unit ->
   barrier list
-(** [Fused_f64.transpose_batch] under a batch-split [policy] (default
-    [Auto]): whole-matrix batch chunking when the policy goes
-    matrix-parallel for this [nb] (always when [lanes = 1]), per-matrix
-    panel parallelism otherwise — the same decision rule the engine
-    runs, so the race proof covers every tunable schedule. *)
+(** [Fused_f64.transpose_batch]: whole-matrix batch chunking when the
+    batch has at least one matrix per lane ([nb >= lanes], always when
+    [lanes = 1]), per-matrix panel parallelism otherwise -- the same
+    decision rule the engine runs. *)
 
 val ooc_barriers :
   ?split:split ->

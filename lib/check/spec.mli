@@ -54,11 +54,16 @@ val transpose_model : engine -> m:int -> n:int -> (string * Perm.t) list
     [Decomposed]/[Cache], and the fused column pass (symbolically the
     composition of its two column-local sub-passes) for [Fused]. *)
 
+val widths : int list
+(** The panel and staging widths the check layer proves every engine
+    at: [[8; 16; 32; 64]]. Any positive [?panel_width] stays accepted
+    and correct; these are the ones the race grid, the probes and the
+    pinned bounds certificates name. *)
+
 val probes : ?widths:int list -> m:int -> n:int -> unit -> int list
 (** Structured probe indices for a shape: border rows crossed with border
     columns, panel-edge columns ([wk - 1, wk, wk + 1] for every panel
-    width [w] in [widths], default
-    {!Xpose_core.Tune_params.supported_widths}) and one column per
+    width [w] in [widths], default {!val:widths}) and one column per
     [gcd(m, n)] residue class — the index classes where the engines'
     case splits live (rotation wrap, panel boundary, CRT residue
     selection). *)

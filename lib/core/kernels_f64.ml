@@ -185,7 +185,7 @@ end
 
 module Ws = Workspace.F64
 
-let default_width = Tune_params.default_panel_width
+let default_width = 16
 
 (* Same per-pass observability hook as Algo.Make (one span per pass;
    nothing per element, so the specialized kernels keep their speed). *)

@@ -113,8 +113,8 @@ module Phases : PHASES
 (** The raw unsafe passes: direct unboxed loads and stores, no checks. *)
 
 val default_width : int
-(** 16 ({!Tune_params.default_panel_width}): the staging width cap,
-    [?panel_width]'s default. *)
+(** 16: the staging width cap, [?panel_width]'s default. A float64
+    sub-row of 16 spans a typical 128-byte line pair. *)
 
 (** The engine, shared by the raw (top level) and checked ({!Checked})
     instantiations. Scratch comes from a {!Workspace.F64} (a fresh one

@@ -66,54 +66,3 @@ val ooc_panel_window : Plan.t -> width:int -> int
     [2 * m * width] (gathered into the staging once, scattered back
     once), independent of how many column passes run on the staging.
     @raise Invalid_argument if [width < 1]. *)
-
-(** {1 Calibrated per-byte pricing}
-
-    The touch counts above are machine-free. A
-    {!Xpose_obs.Calibrate.t} fits one per-byte cost per traffic shape
-    to the machine at hand, turning a touch count into a predicted
-    wall-time — the absolute leg of the roofline attribution (the
-    relative leg, achieved/roof, lives in {!Xpose_obs.Roofline}). *)
-
-type rates = {
-  stream_ns_per_byte : float;
-  gather_ns_per_byte : float;
-  scatter_ns_per_byte : float;
-  permute_ns_per_byte : float;
-}
-
-val rates_of_calibration : Xpose_obs.Calibrate.t -> rates
-(** One fitted ns/byte per probe — the reciprocal of each measured
-    roof. *)
-
-val predicted_ns : rates -> kind:Xpose_obs.Roofline.kind -> touches:int -> float
-(** [touches * 8] bytes (float64) priced at the rate of the pass's
-    traffic shape: the time the pass would take running exactly at its
-    roof. Measured time divided by this is the inverse roofline
-    fraction.
-    @raise Invalid_argument if [touches < 0]. *)
-
-val rate_at_width :
-  rates ->
-  Xpose_obs.Roofline.kind ->
-  calibrated_width:int ->
-  width:int ->
-  float
-(** The effective ns/byte of strided traffic at panel width [width],
-    given probes measured at [calibrated_width]: linear in
-    [calibrated_width / width] on the excess over the streaming rate,
-    floored at the streaming rate (a wider panel amortizes the strided
-    part of every transaction toward a pure stream; a narrower one pays
-    more per byte). [Stream] traffic is width-independent. Monotone
-    non-increasing in [width] — the autotuner's pruning contract.
-    @raise Invalid_argument if either width is [< 1]. *)
-
-val predicted_ns_at_width :
-  rates ->
-  kind:Xpose_obs.Roofline.kind ->
-  calibrated_width:int ->
-  width:int ->
-  touches:int ->
-  float
-(** {!predicted_ns} priced at {!rate_at_width}.
-    @raise Invalid_argument if [touches < 0] or either width is [< 1]. *)

@@ -201,17 +201,12 @@ let pp ppf t =
 module Cache = struct
   type plan = t
 
-  type entry = {
-    plan : plan;
-    params : Tune_params.t;
-    mutable stamp : int;
-  }
+  type entry = { plan : plan; mutable stamp : int }
 
-  (* The key carries the tuned parameters, not just the shape: two
-     callers tuning the same shape differently (another engine, another
-     panel width) must not alias to one entry, or the serving path would
-     run whichever configuration happened to be cached first. *)
-  type key = int * int * Tune_params.t
+  (* A plan depends on the shape alone, so the shape is the whole key:
+     callers running one shape at different staging widths share its
+     entry. *)
+  type key = int * int
 
   type t = {
     capacity : int;
@@ -262,8 +257,8 @@ module Cache = struct
         Xpose_obs.Metrics.incr (Xpose_obs.Metrics.force m_evictions)
     | None -> ()
 
-  let get ?(cache = default) ?(params = Tune_params.default) ~m ~n () =
-    let key = (m, n, params) in
+  let get ?(cache = default) ~m ~n () =
+    let key = (m, n) in
     Mutex.lock cache.mutex;
     cache.clock <- cache.clock + 1;
     match Hashtbl.find_opt cache.table key with
@@ -286,25 +281,10 @@ module Cache = struct
         (if not (Hashtbl.mem cache.table key) then begin
            if Hashtbl.length cache.table >= cache.capacity then
              evict_lru cache;
-           Hashtbl.replace cache.table key
-             { plan; params; stamp = cache.clock }
+           Hashtbl.replace cache.table key { plan; stamp = cache.clock }
          end);
         Mutex.unlock cache.mutex;
         plan
-
-  (* Every parameter variant cached for a shape, most recent first.
-     The serving path uses this to recover the tuned configuration a
-     hot shape last ran with without consulting the tuning DB. *)
-  let cached_params ?(cache = default) ~m ~n () =
-    Mutex.lock cache.mutex;
-    let found =
-      Hashtbl.fold
-        (fun (km, kn, _) e acc ->
-          if km = m && kn = n then (e.stamp, e.params) :: acc else acc)
-        cache.table []
-    in
-    Mutex.unlock cache.mutex;
-    List.sort (fun (a, _) (b, _) -> compare b a) found |> List.map snd
 
   (* Readers take the mutex too: the server resolves plans from several
      domains at once, and unsynchronized reads of the mutable totals are

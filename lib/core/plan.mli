@@ -150,21 +150,14 @@ module Cache : sig
   val default : t
   (** The process-global cache used when no explicit one is given. *)
 
-  val get :
-    ?cache:t -> ?params:Tune_params.t -> m:int -> n:int -> unit -> plan
+  val get : ?cache:t -> m:int -> n:int -> unit -> plan
   (** [get ~m ~n ()] is [make ~m ~n], memoized: a hit returns the cached
       plan (physically equal to the one built on the miss), a miss
       builds, stores, and (at capacity) evicts the least recently used
-      entry. Entries are keyed by shape {e and} tuned parameters
-      ([params], default {!Tune_params.default}) and carry the
-      parameters they were resolved with, so callers tuning the same
-      shape differently never alias to one entry.
+      entry. Entries are keyed by the shape alone: a plan depends on
+      nothing else, so every caller of one shape shares its entry,
+      whatever staging width it runs.
       @raise Invalid_argument as {!val:make}. *)
-
-  val cached_params :
-    ?cache:t -> m:int -> n:int -> unit -> Tune_params.t list
-  (** Every parameter variant currently cached for the shape, most
-      recently used first; [[]] when the shape is not cached. *)
 
   val length : t -> int
   val hits : t -> int

@@ -8,7 +8,6 @@ module Make (S : Storage.S) = struct
 
   let default_width = 16
   let default_block_rows = 64
-  let supported_widths = Tune_params.supported_widths
 
   let get_ws = function Some ws -> ws | None -> Ws.create ()
 
@@ -304,19 +303,13 @@ module Make (S : Storage.S) = struct
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
-    let params =
-      {
-        Tune_params.default with
-        panel_width = Option.value width ~default:default_width;
-      }
-    in
     if rm > rn then
       c2r ?panel_width:width ?block_rows ?ws
-        (Plan.Cache.get ?cache ~params ~m:rm ~n:rn ())
+        (Plan.Cache.get ?cache ~m:rm ~n:rn ())
         buf
     else
       r2c ?panel_width:width ?block_rows ?ws
-        (Plan.Cache.get ?cache ~params ~m:rn ~n:rm ())
+        (Plan.Cache.get ?cache ~m:rn ~n:rm ())
         buf
 end
 

@@ -36,11 +36,6 @@ module Make (S : Xpose_core.Storage.S) : sig
   val default_block_rows : int
   (** Rows per strip of the fine rotation phase (64). *)
 
-  val supported_widths : int list
-  (** The panel widths the autotuner searches and the check layer
-      verifies ({!Xpose_core.Tune_params.supported_widths}); any
-      positive [?panel_width] is still accepted and correct. *)
-
   val cycles :
     whom:string -> m:int -> index:(int -> int) -> int array array
   (** The nontrivial cycles of the permutation [row_i <- row_{index i}]

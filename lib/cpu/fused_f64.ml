@@ -6,7 +6,6 @@ open Bigarray.Array1
 module Ws = Workspace.F64
 
 let default_width = Kernels_f64.default_width
-let supported_widths = Tune_params.supported_widths
 
 let check_buf whom (p : Plan.t) (buf : buf) =
   if dim buf <> p.m * p.n then
@@ -81,7 +80,6 @@ module type ENGINE = sig
 
   val transpose_batch :
     ?order:Layout.order ->
-    ?split:Tune_params.batch_split ->
     ?panel_width:int ->
     ?cache:Plan.Cache.t ->
     Pool.t ->
@@ -99,31 +97,15 @@ module Drivers (K : Kernels_f64.ENGINE) : ENGINE = struct
   let c2r = K.c2r
   let r2c = K.r2c
 
-  (* Plan-cache entries are keyed by (and carry) the configuration the
-     caller actually runs, so differently tuned callers of one shape
-     never alias. *)
-  let cache_params ?(split = Tune_params.Auto) width =
-    {
-      Tune_params.default with
-      panel_width = Option.value width ~default:default_width;
-      batch_split = split;
-    }
-
   let rows_cols ~order ~m ~n =
     match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
 
   let transpose ?(order = Layout.Row_major) ?panel_width:width ?ws ?cache ~m
       ~n buf =
     let rm, rn = rows_cols ~order ~m ~n in
-    let params = cache_params width in
     if rm > rn then
-      c2r ?panel_width:width ?ws
-        (Plan.Cache.get ?cache ~params ~m:rm ~n:rn ())
-        buf
-    else
-      r2c ?panel_width:width ?ws
-        (Plan.Cache.get ?cache ~params ~m:rn ~n:rm ())
-        buf
+      c2r ?panel_width:width ?ws (Plan.Cache.get ?cache ~m:rm ~n:rn ()) buf
+    else r2c ?panel_width:width ?ws (Plan.Cache.get ?cache ~m:rn ~n:rm ()) buf
 
   (* -- pool drivers ------------------------------------------------------ *)
 
@@ -154,20 +136,19 @@ module Drivers (K : Kernels_f64.ENGINE) : ENGINE = struct
   let transpose_pool ?(order = Layout.Row_major) ?panel_width:width ?workspaces
       ?cache pool ~m ~n buf =
     let rm, rn = rows_cols ~order ~m ~n in
-    let params = cache_params width in
     if rm > rn then
       c2r_pool ?panel_width:width ?workspaces pool
-        (Plan.Cache.get ?cache ~params ~m:rm ~n:rn ())
+        (Plan.Cache.get ?cache ~m:rm ~n:rn ())
         buf
     else
       r2c_pool ?panel_width:width ?workspaces pool
-        (Plan.Cache.get ?cache ~params ~m:rn ~n:rm ())
+        (Plan.Cache.get ?cache ~m:rn ~n:rm ())
         buf
 
   (* -- batched transpose ------------------------------------------------- *)
 
-  let transpose_batch ?(order = Layout.Row_major) ?(split = Tune_params.Auto)
-      ?panel_width:width ?cache pool ~m ~n bufs =
+  let transpose_batch ?(order = Layout.Row_major) ?panel_width:width ?cache
+      pool ~m ~n bufs =
     let rm, rn = rows_cols ~order ~m ~n in
     let nb = Array.length bufs in
     if nb > 0 then begin
@@ -181,28 +162,15 @@ module Drivers (K : Kernels_f64.ENGINE) : ENGINE = struct
               "Fused_f64.transpose_batch: buffer size does not match shape")
         bufs;
       let c2r_side = rm > rn in
-      let params = cache_params ~split width in
       let p =
-        if c2r_side then Plan.Cache.get ?cache ~params ~m:rm ~n:rn ()
-        else Plan.Cache.get ?cache ~params ~m:rn ~n:rm ()
+        if c2r_side then Plan.Cache.get ?cache ~m:rm ~n:rn ()
+        else Plan.Cache.get ?cache ~m:rn ~n:rm ()
       in
       let lanes = Pool.workers pool in
-      (* The split policy decides matrix- vs panel-parallelism; a
-         single-lane pool always runs the (cheaper) serial engine per
-         matrix, whatever the policy asked for. *)
-      let matrix_parallel =
-        lanes = 1
-        ||
-        match split with
-        | Tune_params.Auto -> nb >= lanes
-        | Tune_params.Matrix_parallel -> true
-        | Tune_params.Panel_parallel -> false
-        | Tune_params.Hybrid t -> nb >= t
-      in
-      if matrix_parallel then begin
-        (* Enough matrices to keep every lane busy: parallelize across the
-           batch, each lane running the serial engine with its own
-           workspace. *)
+      if nb >= lanes then begin
+        (* Enough matrices to keep every lane busy (always so on a
+           single-lane pool): parallelize across the batch, each lane
+           running the serial engine with its own workspace. *)
         let wss = Array.init lanes (fun _ -> Ws.create ()) in
         Pool.parallel_chunks pool ~lo:0 ~hi:nb (fun ~chunk ~lo ~hi ->
             let ws = wss.(chunk) in

@@ -35,11 +35,6 @@ val default_width : int
 (** 16 ({!Xpose_core.Kernels_f64.default_width}): the staging width cap
     ([?panel_width] default). *)
 
-val supported_widths : int list
-(** The panel widths the autotuner searches and the check layer
-    verifies; any positive [?panel_width] remains accepted and
-    correct. *)
-
 (** The full engine surface, satisfied by both the raw top-level
     operations and the {!Checked} shadow-mode twin. *)
 module type ENGINE = sig
@@ -123,7 +118,6 @@ module type ENGINE = sig
 
   val transpose_batch :
     ?order:Xpose_core.Layout.order ->
-    ?split:Xpose_core.Tune_params.batch_split ->
     ?panel_width:int ->
     ?cache:Xpose_core.Plan.Cache.t ->
     Pool.t ->
@@ -132,17 +126,12 @@ module type ENGINE = sig
     buf array ->
     unit
   (** [transpose_batch pool ~m ~n bufs] transposes every matrix of the
-      same-shape batch in place. [split] (default
-      {!Xpose_core.Tune_params.Auto}) decides the parallelism: under
-      [Auto], when the batch has at least as many matrices as the pool
-      has lanes, lanes take contiguous slices of the batch and run the
-      serial engine (one plan, one workspace per lane), and smaller
-      batches run each matrix panel-parallel instead;
-      [Matrix_parallel] / [Panel_parallel] force one side, and
-      [Hybrid t] switches at batch size [t]. A single-lane pool always
-      runs the serial engine per matrix. Every policy computes the same
-      result — the autotuner picks whichever is fastest for the shape.
-      The whole batch is validated before any element moves.
+      same-shape batch in place. When the batch has at least as many
+      matrices as the pool has lanes (always so on a single-lane pool),
+      lanes take contiguous slices of the batch and run the serial
+      engine (one plan, one workspace per lane); smaller batches run
+      each matrix panel-parallel instead. The whole batch is validated
+      before any element moves.
       @raise Invalid_argument if any buffer size differs from [m * n]. *)
 end
 

@@ -7,7 +7,8 @@
     move toward the paper's sizes. The C2R rows run the f64 engine
     ({!Xpose_core.Kernels_f64} serially, [Xpose_cpu.Fused_f64] on a
     2-lane pool); the generic and Gustavson rows are the element-generic
-    references — see EXPERIMENTS.md. *)
+    references — see EXPERIMENTS.md. A sample matrix's time is the
+    median of 5 calls after one untimed call. *)
 
 open Xpose_core
 module S = Storage.Float64
@@ -56,6 +57,9 @@ let impls =
     };
   ]
 
+(* Timed calls per sample matrix; the matrix's time is their median. *)
+let timed = 5
+
 let run ?(seed = 42) ?(samples = 24) ?(dim_lo = 100) ?(dim_hi = 600)
     ?(workers = 2) () =
   let rng = Rng.create ~seed in
@@ -69,7 +73,16 @@ let run ?(seed = 42) ?(samples = 24) ?(dim_lo = 100) ?(dim_hi = 600)
                 (fun (m, n) ->
                   let buf = S.create (m * n) in
                   Storage.fill_iota (module S) buf;
-                  let ns = Timing.time_ns (fun () -> impl.run ~pool ~m ~n buf) in
+                  (* One untimed call warms the caches, the plan cache and
+                     the pool, then the median of [timed] calls. Each
+                     in-place call transposes an m x n matrix of the same
+                     shape again, so one buffer serves them all. *)
+                  let call () = impl.run ~pool ~m ~n buf in
+                  call ();
+                  let ns =
+                    Stats.median
+                      (Array.init timed (fun _ -> Timing.time_ns call))
+                  in
                   Timing.throughput_gbps ~elems:(m * n) ~elt_bytes:8 ~ns)
                 dims
             in

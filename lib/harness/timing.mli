@@ -1,7 +1,8 @@
 (** Wall-clock measurement and the paper's throughput definition. *)
 
 val time_ns : (unit -> unit) -> float
-(** One timed run (monotonic clock). *)
+(** One timed run, read off [Unix.gettimeofday] (wall clock, not
+    monotonic). *)
 
 val best_of : ?repeats:int -> (unit -> unit) -> float
 (** Minimum time over [repeats] runs (default 3) — the standard way to

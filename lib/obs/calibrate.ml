@@ -169,8 +169,7 @@ let probe_json p =
     (json_float p.ns_per_byte)
 
 (* [ghz] is emitted only when present so a pre-frequency-probe file
-   still survives [load] -> [to_json] byte-identically (and keeps its
-   fingerprint, so tuning-DB entries stamped against it stay valid). *)
+   still survives [load] -> [to_json] byte-identically. *)
 let to_json t =
   let b = Buffer.create 256 in
   Buffer.add_string b "{\n";
@@ -244,13 +243,6 @@ let of_json s =
           | _ -> Error "calibration: \"ghz\" must be a positive number")
     in
     Ok { elems; repeats; panel_width; stream; gather; scatter; permute; ghz }
-
-(* The canonical JSON rendering is a deterministic function of the
-   record (%.17g is a float round-trip fixpoint), so its digest
-   identifies the calibration exactly: any re-probe that measures even
-   slightly different roofs yields a new fingerprint, which is what
-   invalidates tuning-DB entries priced against the old roofs. *)
-let fingerprint t = Digest.to_hex (Digest.string (to_json t))
 
 let save t ~file =
   let oc = open_out file in

@@ -72,12 +72,6 @@ val of_json : string -> (t, string) result
 (** Total: hostile bytes come back as [Error], never an exception.
     Rejects unknown versions and non-positive roofs. *)
 
-val fingerprint : t -> string
-(** A hex digest of the canonical JSON rendering — a stable identity
-    for this exact calibration. The tuning DB stamps every entry with
-    the fingerprint of the calibration it was priced and measured
-    under; a re-probe (new roofs, new fingerprint) invalidates them. *)
-
 val save : t -> file:string -> unit
 (** @raise Sys_error if the file cannot be written. *)
 

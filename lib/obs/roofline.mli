@@ -12,8 +12,8 @@
 
     A fraction near 1 means the pass is running at what the machine
     allows for its traffic shape — further tuning must change the
-    shape, not the code. A low fraction is headroom the ROADMAP's
-    autotuner can chase. Fractions can legitimately exceed 1 (a
+    shape, not the code. A low fraction is headroom a faster kernel
+    can claim. Fractions can legitimately exceed 1 (a
     cache-resident run beats an out-of-cache roof), hence the clamp
     rather than an assert; consumers may rely on reported fractions
     lying in (0, {!max_fraction}]. *)

@@ -1,5 +1,4 @@
 module P = Protocol
-module ES = Xpose_tune.Engine_select
 module FM = Xpose_mmap.File_matrix
 module Metrics = Xpose_obs.Metrics
 module Tracer = Xpose_obs.Tracer
@@ -20,7 +19,6 @@ type config = {
   prefetch : bool;
   metrics_file : string option;
   metrics_interval_s : float;
-  tuning_db : string option;
 }
 
 let default_config ~socket_path =
@@ -40,7 +38,6 @@ let default_config ~socket_path =
     prefetch = true;
     metrics_file = None;
     metrics_interval_s = 1.0;
-    tuning_db = None;
   }
 
 (* -- metrics ----------------------------------------------------------- *)
@@ -121,10 +118,6 @@ type t = {
   pool : Xpose_cpu.Pool.t;
   admission : Admission.t;
   plan_cache : Xpose_core.Plan.Cache.t;
-  (* shape -> tuned parameters; an empty DB (no [tuning_db] configured,
-     or an unreadable file) makes every dispatch a miss, i.e. exactly
-     the pre-tuning behaviour *)
-  selector : ES.t;
   (* queue, guarded by [qmu]; readers enqueue, the dispatcher drains *)
   qmu : Mutex.t;
   queue : job Job_queue.t;
@@ -390,7 +383,7 @@ let fail_batch t jobs exn =
 
 let run_fused t ~m ~n jobs =
   match
-    ES.dispatch_batch t.selector t.pool ~m ~n
+    Xpose_cpu.Fused_f64.transpose_batch ~cache:t.plan_cache t.pool ~m ~n
       (Array.of_list (List.map (fun j -> j.j_payload) jobs))
   with
   | () ->
@@ -406,9 +399,6 @@ let run_fused t ~m ~n jobs =
    the tenant's window at a time. *)
 let run_ooc t ~window_bytes job =
   let m = job.j_m and n = job.j_n in
-  (* The tenant window is a residency promise; a tuned window may
-     shrink it, never grow it. *)
-  let window_bytes = ES.window_bytes_for t.selector ~m ~n ~default:window_bytes in
   match
     let path = Filename.temp_file "xpose_server" ".mat" in
     Fun.protect
@@ -612,27 +602,6 @@ let start cfg =
   let wake_rd, wake_wr = Unix.pipe () in
   Unix.set_nonblock wake_wr;
   let plan_cache = Xpose_core.Plan.Cache.create ~capacity:128 () in
-  (* The serving path accepts whatever calibration the DB file was
-     tuned under (its own fingerprint): staleness policy lives in
-     [xpose tune], which re-tunes on a fingerprint mismatch. An
-     unreadable or missing file degrades to an empty DB — every shape
-     a miss, default parameters — rather than failing startup. *)
-  let tuning_db =
-    match cfg.tuning_db with
-    | None -> None
-    | Some file -> (
-        match
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | bytes -> (
-            match Xpose_tune.Db.of_json bytes with
-            | Ok db -> Some db
-            | Error _ -> None)
-        | exception Sys_error _ -> None)
-  in
   let t =
     {
       cfg;
@@ -644,7 +613,6 @@ let start cfg =
           ~default_window_bytes:cfg.default_window_bytes ~tenants:cfg.tenants
           ();
       plan_cache;
-      selector = ES.create ?db:tuning_db ~cache:plan_cache ();
       qmu = Mutex.create ();
       queue =
         Job_queue.create ~max_jobs:cfg.max_queue_jobs

@@ -9,13 +9,11 @@
       and either feed the {!Job_queue} or answer immediately
       ([Busy] backpressure, [Stats_reply], protocol errors);
     - a {e dispatcher} drains the per-priority queues into the
-      {!Coalescer} and executes ready groups through
-      {!Xpose_tune.Engine_select.dispatch_batch}: fused groups as one
-      {!Xpose_cpu.Fused_f64.transpose_batch} over the worker pool at
-      the shape's tuned panel width and split policy (same-shape
-      requests share one plan-cache hit), ooc-routed jobs through a
-      staging file and {!Xpose_ooc.Ooc_f64.transpose_file} under the
-      tenant's window capped by the tuned window;
+      {!Coalescer} and executes ready groups: fused groups as one
+      {!Xpose_cpu.Fused_f64.transpose_batch} over the worker pool
+      (same-shape requests share one plan-cache hit), ooc-routed jobs
+      through a staging file and {!Xpose_ooc.Ooc_f64.transpose_file}
+      under the tenant's window;
     - a {!Xpose_cpu.Pool} of worker domains does the element moving.
 
     Replies go back over the request's connection, tagged with the
@@ -65,15 +63,6 @@ type config = {
           every [metrics_interval_s] — write-temp-then-rename, so a
           scraper never sees a torn file — plus once more on {!stop} *)
   metrics_interval_s : float;  (** dump period, > 0 (default 1 s) *)
-  tuning_db : string option;
-      (** when set, the tuning DB written by [xpose tune] is loaded at
-          startup and consulted on every dispatch: fused batches run at
-          the tuned panel width and split policy (or whatever engine the
-          DB picked for the shape), and ooc jobs use the tuned window
-          capped at the tenant's. A missing or unreadable file degrades
-          to an empty DB — every lookup a miss, default parameters. The
-          [tune_db.hits] / [tune_db.misses] counters in the stats reply
-          report how often requests found tuned entries. *)
 }
 
 val default_config : socket_path:string -> config

@@ -1,51 +1,33 @@
-(** The serving-path entry point: route a transpose through whatever
-    the tuning DB says is fastest for its shape.
+(** The serving-path entry point: route an in-RAM float64 transpose to
+    {!Xpose_cpu.Fused_f64}, the staged engine, at its default staging
+    width.
 
-    A selector pairs a {!Db.t} with a {!Xpose_core.Plan.Cache} whose
-    entries carry the tuned parameters, so a hot shape costs one DB
-    lookup (a hash find) plus one plan-cache hit — no planning, no
-    tuning, no timing. Shapes the DB has never seen fall back to
-    {!Xpose_core.Tune_params.default} and count as misses; the hit/miss
-    totals are also published as the [tune_db.hits] / [tune_db.misses]
-    metrics counters, which the server's stats reply and
-    [xpose loadtest --engine tuned] report. *)
+    A selector only carries the {!Xpose_core.Plan.Cache} its plans come
+    from, so a hot shape costs one plan-cache hit and no planning. There
+    is nothing to choose per shape: the transpose's only parameter is its
+    plan, and re-measured tuner picks of the staging width ran within
+    noise of the default (docs/PERF.md §6). *)
 
 open Xpose_core
 
 type t
 
-val create : ?db:Db.t -> ?cache:Plan.Cache.t -> unit -> t
-(** [db] defaults to an empty DB (every lookup a miss — pure default
-    behaviour); [cache] defaults to {!Plan.Cache.default}. *)
-
-val db : t -> Db.t
-
-val params_for : t -> m:int -> n:int -> Tune_params.t
-(** The tuned parameters for the shape, or
-    {!Tune_params.default} on a miss. A shape tuned as [m x n] also
-    answers for [n x m] — both run the same plan. Thread-safe; bumps
-    the hit/miss counters. *)
-
-val window_bytes_for : t -> m:int -> n:int -> default:int -> int
-(** The out-of-core window for the shape: the tuned window when the DB
-    holds one, capped at [default] (a tenant's window is a residency
-    {e promise} — tuning may shrink it, never grow it). *)
-
-val hits : t -> int
-val misses : t -> int
+val create : ?cache:Plan.Cache.t -> unit -> t
+(** [cache] defaults to {!Plan.Cache.default}. *)
 
 val dispatch : ?pool:Xpose_cpu.Pool.t -> t -> m:int -> n:int ->
   Storage.Float64.t -> unit
-(** Transpose the in-RAM buffer with the tuned engine: kernels, the
-    cache-aware sweeps, the fused engine at the tuned panel width
-    (pool-parallel when [pool] has more than one lane), or — when the
-    DB tuned the shape out of core — staged through a temp file under
-    the tuned window.
-    @raise Invalid_argument on a shape/buffer mismatch. *)
+(** Transpose the row-major [m x n] buffer in place: pool-parallel
+    ({!Xpose_cpu.Fused_f64.transpose_pool}) when [pool] has more than
+    one lane, the serial engine otherwise.
+    @raise Invalid_argument on a bad shape or a shape/buffer
+    mismatch. *)
 
 val dispatch_batch :
   t -> Xpose_cpu.Pool.t -> m:int -> n:int -> Storage.Float64.t array -> unit
-(** Batched dispatch: the fused route runs
-    {!Xpose_cpu.Fused_f64.transpose_batch} under the tuned panel width
-    and split policy; other routes run per matrix.
-    @raise Invalid_argument as {!dispatch}. *)
+(** Transpose every matrix of the same-shape batch through
+    {!Xpose_cpu.Fused_f64.transpose_batch}: matrix-parallel when the
+    batch has at least one matrix per pool lane, panel-parallel per
+    matrix otherwise.
+    @raise Invalid_argument on a bad shape or any buffer whose size is
+    not [m * n]. *)

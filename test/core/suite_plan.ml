@@ -146,30 +146,34 @@ let test_cache_hit_miss () =
   Alcotest.(check int) "clear empties" 0 (Plan.Cache.length cache);
   Alcotest.(check int) "clear resets hits" 0 (Plan.Cache.hits cache)
 
-(* Regression: the cache used to key on (m, n) alone, so two callers
-   of one shape running under different tuned parameters collided on a
-   single entry — the second caller silently read an entry stamped for
-   the first one's configuration, and [cached_params] could not exist.
-   The key now carries the parameters. *)
-let test_cache_params_key () =
+(* A plan depends on the shape alone, so the cache keys on the shape:
+   one shape transposed at two staging widths shares one entry (and one
+   plan) instead of caching the same plan twice. *)
+let test_cache_keyed_by_shape () =
+  let module FF = Xpose_cpu.Fused_f64 in
   let cache = Plan.Cache.create ~capacity:8 () in
-  let wide = { Tune_params.default with panel_width = 32 } in
-  let p1 = Plan.Cache.get ~cache ~m:48 ~n:36 () in
-  let p2 = Plan.Cache.get ~cache ~params:wide ~m:48 ~n:36 () in
-  Alcotest.(check int) "distinct params are distinct entries" 2
-    (Plan.Cache.length cache);
-  Alcotest.(check int) "both were misses (the former collision)" 2
-    (Plan.Cache.misses cache);
-  Alcotest.(check bool) "separately cached" true (p1 != p2);
-  let p3 = Plan.Cache.get ~cache ~params:wide ~m:48 ~n:36 () in
-  Alcotest.(check bool) "same params hit their own entry" true (p2 == p3);
-  Alcotest.(check int) "one hit" 1 (Plan.Cache.hits cache);
-  match Plan.Cache.cached_params ~cache ~m:48 ~n:36 () with
-  | first :: rest ->
-      Alcotest.(check bool) "most recently used params first" true
-        (Tune_params.equal first wide);
-      Alcotest.(check int) "both param variants listed" 1 (List.length rest)
-  | [] -> Alcotest.fail "cached_params empty for a cached shape"
+  let m = 48 and n = 36 in
+  let transposed_iota ~panel_width =
+    let buf = Storage.Float64.create (m * n) in
+    Storage.fill_iota (module Storage.Float64) buf;
+    FF.transpose ~panel_width ~cache ~m ~n buf;
+    Alcotest.(check bool)
+      (Printf.sprintf "w%d transposes" panel_width)
+      true
+      (List.for_all
+         (fun l ->
+           Storage.Float64.get buf l = float_of_int ((n * (l mod m)) + (l / m)))
+         (List.init (m * n) Fun.id))
+  in
+  transposed_iota ~panel_width:8;
+  Alcotest.(check int) "first call misses" 1 (Plan.Cache.misses cache);
+  let p1 = Plan.Cache.get ~cache ~m ~n () in
+  transposed_iota ~panel_width:32;
+  Alcotest.(check int) "one entry for the shape" 1 (Plan.Cache.length cache);
+  Alcotest.(check int) "the second width is a hit" 1 (Plan.Cache.misses cache);
+  Alcotest.(check int) "two hits" 2 (Plan.Cache.hits cache);
+  Alcotest.(check bool) "both widths ran the one cached plan" true
+    (Plan.Cache.get ~cache ~m ~n () == p1)
 
 let test_cache_lru_eviction () =
   let cache = Plan.Cache.create ~capacity:2 () in
@@ -262,8 +266,8 @@ let tests =
     Alcotest.test_case "internal consistency (exhaustive small)" `Quick
       test_internal_consistency;
     Alcotest.test_case "cache hit/miss bookkeeping" `Quick test_cache_hit_miss;
-    Alcotest.test_case "cache key carries tuned params" `Quick
-      test_cache_params_key;
+    Alcotest.test_case "cache keyed by shape alone" `Quick
+      test_cache_keyed_by_shape;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache eviction counter" `Quick
       test_cache_eviction_counter;

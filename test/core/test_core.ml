@@ -15,5 +15,4 @@ let () =
       ("theory", Suite_theory.tests);
       ("cross_storage", Suite_cross_storage.tests);
       ("rotate90", Suite_rotate90.tests);
-      ("tune_cost", Suite_tune_cost.tests);
     ]

@@ -326,46 +326,33 @@ let test_width_grid_matches_oracle () =
             (Printf.sprintf "w%d transpose %dx%d" panel_width m n)
             expected (buf_to_list buf))
         shapes)
-    Tune_params.supported_widths
+    [ 8; 16; 32; 64 ]
 
-let test_batch_split_policies_match_oracle () =
-  (* Each explicit split policy must produce the same result as the Auto
-     heuristic in both regimes (batch >= lanes and batch < lanes). *)
-  let policies =
-    [
-      Tune_params.Auto;
-      Tune_params.Matrix_parallel;
-      Tune_params.Panel_parallel;
-      Tune_params.Hybrid 2;
-    ]
-  in
+let test_batch_regimes_per_width () =
+  (* Both sides of the batch rule -- matrix-parallel when the batch has a
+     matrix per lane, panel-parallel below that -- at non-default
+     widths. *)
   with_pool 3 (fun pool ->
       List.iter
-        (fun split ->
+        (fun panel_width ->
           List.iter
-            (fun panel_width ->
-              List.iter
-                (fun (batch, m, n) ->
-                  let bufs =
-                    Array.init batch (fun _ -> iota_buf (m * n))
-                  in
-                  F.transpose_batch ~split ~panel_width pool ~m ~n bufs;
-                  let expected =
-                    let buf = iota_buf (m * n) in
-                    F.transpose ~m ~n buf;
-                    buf_to_list buf
-                  in
-                  Array.iteri
-                    (fun b buf ->
-                      Alcotest.(check (list (float 0.0)))
-                        (Printf.sprintf "%s/w%d batch[%d] %dx%d"
-                           (Tune_params.split_to_string split)
-                           panel_width b m n)
-                        expected (buf_to_list buf))
-                    bufs)
-                [ (5, 48, 36); (2, 40, 23) ])
-            [ 8; 32 ])
-        policies)
+            (fun (batch, m, n) ->
+              let bufs = Array.init batch (fun _ -> iota_buf (m * n)) in
+              F.transpose_batch ~panel_width pool ~m ~n bufs;
+              let expected =
+                let buf = iota_buf (m * n) in
+                F.transpose ~m ~n buf;
+                buf_to_list buf
+              in
+              Array.iteri
+                (fun b buf ->
+                  Alcotest.(check (list (float 0.0)))
+                    (Printf.sprintf "w%d batch[%d] %dx%d (batch=%d)"
+                       panel_width b m n batch)
+                    expected (buf_to_list buf))
+                bufs)
+            [ (5, 48, 36); (2, 40, 23) ])
+        [ 8; 32 ])
 
 (* The staging width depends on the shape: skinny shapes have the budget
    cap it (w = 1 once m > stage_elems / 2), while large-gcd and coprime
@@ -454,8 +441,8 @@ let tests =
       test_batch_validates_before_moving;
     Alcotest.test_case "panel width grid vs oracle" `Quick
       test_width_grid_matches_oracle;
-    Alcotest.test_case "batch split policies vs oracle" `Quick
-      test_batch_split_policies_match_oracle;
+    Alcotest.test_case "batch regimes per width vs oracle" `Quick
+      test_batch_regimes_per_width;
     QCheck_alcotest.to_alcotest prop_fused_equals_oracle;
     QCheck_alcotest.to_alcotest prop_r2c_inverts;
     QCheck_alcotest.to_alcotest prop_staged_paths;

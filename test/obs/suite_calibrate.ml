@@ -80,8 +80,7 @@ let test_of_json_rejects_hostile () =
 
 (* The clock probe: fresh runs always measure one; files written before
    the probe existed (no "ghz" member) must still load — with the CPE
-   machinery disabled — and re-serialise byte-identically so their
-   fingerprint (and every tuning-DB entry stamped with it) survives. *)
+   machinery disabled — and re-serialise byte-identically. *)
 let test_ghz_probe_and_pre_ghz_files () =
   let cal = small_cal () in
   (match cal.Calibrate.ghz with

@@ -139,6 +139,82 @@ let test_ooc_routing () =
       Alcotest.(check int) "default-tenant job ran fused" 1
         (counter_value "server.admit.fused" - fused0))
 
+(* -- faults: an over-quota job with no writable temp dir ---------------- *)
+
+(* The over-quota route is the one path that stages a payload through a
+   file. OCaml 5 keeps [Filename]'s temp dir per domain, and the
+   dispatcher thread runs on the domain that called [Server.start] (this
+   one), so pointing that domain's temp dir at a missing directory makes
+   the staging fail inside the server. The job must fail alone: an
+   error reply carrying its id, its budget returned, and the connection
+   still serving. *)
+let test_ooc_staging_fault () =
+  let config =
+    {
+      (Server.default_config ~socket_path:(fresh_socket_path ())) with
+      Server.tenants =
+        [
+          {
+            Xpose_server.Admission.name = "tiny";
+            quota_bytes = 1024;
+            window_bytes = 65536;
+          };
+        ];
+    }
+  in
+  with_server config (fun () ->
+      let errors0 = counter_value "server.job_errors" in
+      let saved = Filename.get_temp_dir_name () in
+      let missing =
+        Filename.concat saved
+          (Printf.sprintf "xpose_missing_%d" (Unix.getpid ()))
+      in
+      Fun.protect
+        ~finally:(fun () -> Filename.set_temp_dir_name saved)
+        (fun () ->
+          Filename.set_temp_dir_name missing;
+          Client.with_client ~socket_path:config.Server.socket_path (fun c ->
+              (* 32x32 f64 = 8 KiB, over the tenant's 1 KiB quota: routed
+                 out of core, where the staging file cannot be made. *)
+              (match
+                 Client.transpose c ~tenant:"tiny" ~m:32 ~n:32 (iota 1024)
+               with
+              | P.Error_reply { id; message } ->
+                  Alcotest.(check int) "error reply carries the request id" 1
+                    id;
+                  let names_missing =
+                    let k = String.length missing in
+                    let rec go i =
+                      i + k <= String.length message
+                      && (String.sub message i k = missing || go (i + 1))
+                    in
+                    go 0
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "the staging failed (%s)" message)
+                    true names_missing
+              | _ -> Alcotest.fail "expected an error reply");
+              Alcotest.(check int) "one job error" 1
+                (counter_value "server.job_errors" - errors0);
+              (* The reply is written before the budget is released, so
+                 poll for the gauge. *)
+              let inflight () = M.gauge_value (M.gauge "server.inflight_bytes") in
+              let deadline = Unix.gettimeofday () +. 5.0 in
+              let rec wait () =
+                if inflight () = 0.0 then ()
+                else if Unix.gettimeofday () > deadline then
+                  Alcotest.failf "in-flight bytes stuck at %.0f" (inflight ())
+                else begin
+                  Unix.sleepf 0.01;
+                  wait ()
+                end
+              in
+              wait ();
+              (* 8x12 f64 = 768 B, within the quota: served in RAM on the
+                 same connection. *)
+              check_result ~m:8 ~n:12
+                (Client.transpose c ~tenant:"tiny" ~m:8 ~n:12 (iota 96)))))
+
 (* -- backpressure ----------------------------------------------------- *)
 
 let test_backpressure () =
@@ -437,6 +513,8 @@ let tests =
     Alcotest.test_case "metrics file is written" `Quick test_metrics_file;
     Alcotest.test_case "same-shape requests coalesce" `Quick test_coalescing;
     Alcotest.test_case "over-quota jobs route to ooc" `Quick test_ooc_routing;
+    Alcotest.test_case "ooc staging fault fails one job" `Quick
+      test_ooc_staging_fault;
     Alcotest.test_case "budget backpressure" `Quick test_backpressure;
     Alcotest.test_case "protocol error keeps the connection" `Quick
       test_protocol_error_keeps_connection;
