@@ -577,7 +577,6 @@ let () =
       if String.equal a "--calibration" && i + 1 < Array.length Sys.argv then
         cal_file := Some Sys.argv.(i + 1))
     Sys.argv;
-  Xpose_obs.Clock.install (fun () -> Unix.gettimeofday () *. 1e9);
   (* Roofline attribution needs the machine's roofs: load a calibration
      file written by [xpose obs calibrate] when given one, otherwise
      run a reduced in-process calibration (2 MiB probes, best of 2 —

@@ -75,6 +75,4 @@ let main =
   in
   Cmd.group (Cmd.info "experiments" ~doc) [ list_cmd; run_cmd; all_cmd ]
 
-let () =
-  Xpose_obs.Clock.install (fun () -> Unix.gettimeofday () *. 1e9);
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

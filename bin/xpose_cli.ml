@@ -19,6 +19,9 @@ open Xpose_core
    sink. *)
 let calibration : Xpose_obs.Calibrate.t option ref = ref None
 
+(* Every timer reads the library's monotonic clock. *)
+let now_s () = Xpose_obs.Clock.now_ns () /. 1e9
+
 let obs_args =
   let trace_arg =
     Arg.(
@@ -47,7 +50,6 @@ let obs_args =
              roofline columns.")
   in
   let setup trace metrics cal_file =
-    Xpose_obs.Clock.install (fun () -> Unix.gettimeofday () *. 1e9);
     (match cal_file with
     | None -> ()
     | Some file -> (
@@ -310,14 +312,14 @@ let bench_ooc ~m ~n ~workers ~window_bytes ~prefetch =
       Xpose_mmap.File_matrix.create ~path ~elements:(m * n);
       Xpose_mmap.File_matrix.with_map ~path (fun buf ->
           Storage.fill_iota (module S) buf);
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       (if workers = 1 then
          Xpose_ooc.Ooc_f64.transpose_file ~window_bytes ~prefetch ~path ~m ~n ()
        else
          Xpose_cpu.Pool.with_pool ~workers (fun pool ->
              Xpose_ooc.Ooc_f64.transpose_file ~pool ~window_bytes ~prefetch
                ~path ~m ~n ()));
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = now_s () -. t0 in
       let gbps = 2.0 *. float_of_int (m * n * 8) /. (dt *. 1e9) in
       Printf.printf "%d x %d float64 out-of-core (window %d B): %.3f ms, %.3f GB/s\n"
         m n window_bytes (dt *. 1e3) gbps;
@@ -386,7 +388,7 @@ let bench_cmd =
             Storage.fill_iota (module S) buf;
             buf)
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       (if batch = 1 && workers = 1 then
          transpose_engine ~engine ~algorithm ~m ~n bufs.(0)
        else
@@ -398,7 +400,7 @@ let bench_cmd =
                     engine across the pool. *)
                  Xpose_cpu.Pool.parallel_for pool ~lo:0 ~hi:batch (fun b ->
                      transpose_engine ~engine ~algorithm ~m ~n bufs.(b))));
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = now_s () -. t0 in
       let bytes = 2.0 *. float_of_int (batch * m * n * 8) in
       let gbps = bytes /. (dt *. 1e9) in
       if batch = 1 then
@@ -1016,10 +1018,10 @@ let loadtest_cmd =
               let buf = S.create (m * n) in
               Storage.fill_iota (module S) buf;
               let rec attempt tries =
-                let t0 = Unix.gettimeofday () in
+                let t0 = Xpose_obs.Clock.now_ns () in
                 match C.transpose ~tenant client ~m ~n buf with
                 | P.Result { m = rm; n = rn; payload; _ } ->
-                    let dt_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+                    let dt_ns = Xpose_obs.Clock.now_ns () -. t0 in
                     Xpose_obs.Metrics.observe lat_hist dt_ns;
                     incr w_ok;
                     w_bytes := !w_bytes + (m * n * 8);
@@ -1053,10 +1055,10 @@ let loadtest_cmd =
         payload_bytes := !payload_bytes + !w_bytes;
         Mutex.unlock mu
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       let threads = List.init clients (fun k -> Thread.create (worker k) ()) in
       List.iter Thread.join threads;
-      let wall_s = Unix.gettimeofday () -. t0 in
+      let wall_s = now_s () -. t0 in
       let stats =
         C.with_client ~socket_path:socket (fun client -> C.stats client)
       in

@@ -634,9 +634,7 @@ let scratch_slots () =
 let region_discipline () =
   let summaries =
     Access.Passes.all_pipeline_passes
-    @ Xpose_cpu.Fused.Summary.panel_passes
-    @ Xpose_cpu.Fused.Summary.c2r_passes
-    @ Xpose_cpu.Fused.Summary.r2c_passes
+    @ Xpose_cpu.Cache_aware.Summary.panel_passes
     @ Kernels_f64.stage_access
     @ Xpose_ooc.Ooc_access.all
   in

@@ -298,11 +298,11 @@ let kernel_results () =
       certify ~subject:(Printf.sprintf "kernels/%s" s.pass) s)
     Access.Passes.all_pipeline_passes
 
-(* The panel primitives of the generic Fused.Make (the Cache engine's
-   reference) and the stage-and-gather column passes of the f64
-   engine. Each summary is certified once for every width and again
-   pinned at each width of [Spec.widths], so each proved staging width
-   is named in the grid (still no shape enumerated). *)
+(* The panel primitives of the Cache_aware sweeps and the
+   stage-and-gather column passes of the f64 engine. Each summary is
+   certified once for every width and again pinned at each width of
+   [Spec.widths], so each proved staging width is named in the grid
+   (still no shape enumerated). *)
 let fused_results ~widths () =
   List.concat_map
     (fun (s : Access.summary) ->
@@ -313,7 +313,7 @@ let fused_results ~widths () =
                ~subject:(Printf.sprintf "%s w=%d" s.pass w)
                (Access.pin s "w" w))
            widths)
-    (Xpose_cpu.Fused.Summary.panel_passes @ Kernels_f64.stage_access)
+    (Xpose_cpu.Cache_aware.Summary.panel_passes @ Kernels_f64.stage_access)
 
 let ooc_results () =
   List.map
@@ -371,7 +371,7 @@ let engine_rollups results =
         ~passes:(pass_names Kernels_f64.r2c_access);
     ]
   in
-  let panel_passes = pass_names Xpose_cpu.Fused.Summary.panel_passes in
+  let panel_passes = pass_names Xpose_cpu.Cache_aware.Summary.panel_passes in
   let staged = pass_names (Kernels_f64.c2r_access @ Kernels_f64.r2c_access) in
   let fused =
     [

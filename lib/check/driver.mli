@@ -4,10 +4,10 @@
     - ["plan"] — symbolic plan verification ({!Spec}): every engine x
       shape, plus the rank-N planner on a set of permutation problems;
     - ["race"] — parallel-footprint disjointness ({!Footprint}): every
-      engine x shape x lane count, the batched driver, the out-of-core
-      engine's window splits (row windows, column panels, stripes, and
-      the pool barriers inside them), and the planner's parallel
-      executor;
+      pooled engine x shape x lane count, the batched driver, the
+      out-of-core engine's window splits (row windows, column panels,
+      stripes, and the pool barriers inside them), and the planner's
+      parallel executor;
     - ["shadow"] (opt-in) — checked-access runs: the {!Kernels_f64} and
       [Fused_f64] [Checked] twins executed on real (small) buffers;
     - ["bounds"] (opt-in, [prove_bounds]) — parametric in-bounds

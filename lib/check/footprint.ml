@@ -219,7 +219,7 @@ let stage_width (p : Plan.t) ~width =
   Kernels_f64.stage_width ~m:p.m ~panel_width:width
 
 let panel_engine_barriers ~split ~lanes ~width (p : Plan.t) ~c2r_side =
-  let panel = panel_barrier ~split ~lanes ~width p
+  let panel = panel_barrier ~split ~lanes ~width:(stage_width p ~width) p
   and row = row_barrier ~split ~lanes p in
   if p.m = 1 || p.n = 1 then []
   else if c2r_side then
@@ -228,6 +228,10 @@ let panel_engine_barriers ~split ~lanes ~width (p : Plan.t) ~c2r_side =
   else
     [ panel ~name:"fused_col"; row ~name:"row_unshuffle" ]
     @ if Plan.coprime p then [] else [ panel ~name:"rotate_post" ]
+
+(* Par_transpose drives [Functor] and [Decomposed] on the pool and
+   Fused_f64 drives [Fused]; the cache-aware sweeps run serially only. *)
+let pooled_engines = [ Spec.Functor; Spec.Decomposed; Spec.Fused ]
 
 let transpose_barriers ?(split = pool_split) ?(width = default_panel_width)
     ~engine ~lanes ~m ~n () =
@@ -238,10 +242,11 @@ let transpose_barriers ?(split = pool_split) ?(width = default_panel_width)
       rowcol_engine_barriers ~split ~lanes ~decomposed:false p ~c2r_side
   | Spec.Decomposed ->
       rowcol_engine_barriers ~split ~lanes ~decomposed:true p ~c2r_side
-  | Spec.Cache -> panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+  | Spec.Cache ->
+      invalid_arg
+        "Footprint.transpose_barriers: the cache engine has no pool driver"
   | Spec.Fused ->
-      panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
-        ~c2r_side
+      panel_engine_barriers ~split ~lanes ~width p ~c2r_side
 
 (* Fused_f64.transpose_batch: batch-parallel when the batch has a matrix
    for every lane (each lane owns whole matrices), panel-parallel per
@@ -271,8 +276,7 @@ let batch_barriers ?(split = pool_split) ?(width = default_panel_width) ~lanes
          so one matrix's barriers represent them all *)
       let c2r_side = m > n in
       let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
-      panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
-        ~c2r_side
+      panel_engine_barriers ~split ~lanes ~width p ~c2r_side
   end
 
 (* Xpose_ooc.Ooc_f64.transpose_file: window-granular barriers (each
@@ -286,8 +290,7 @@ let ooc_barriers ?(split = pool_split) ?(window_split = Xpose_ooc.Window.split)
   let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
   let budget = Xpose_ooc.Window.budget_elems ~window_bytes in
   if p.m * p.n <= budget then
-    panel_engine_barriers ~split ~lanes ~width:(stage_width p ~width) p
-      ~c2r_side
+    panel_engine_barriers ~split ~lanes ~width p ~c2r_side
   else if p.m = 1 || p.n = 1 then []
   else begin
     let row_per = Xpose_ooc.Window.row_rows ~budget_elems:budget ~n:p.n in

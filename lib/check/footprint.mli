@@ -80,6 +80,11 @@ val off_by_one_split : split
 
 val default_panel_width : int
 
+val pooled_engines : Spec.engine list
+(** The engines with a pool driver, in {!Spec.all_engines} order:
+    [Functor] and [Decomposed] ([Par_transpose]) and [Fused]
+    ([Fused_f64]). [Cache] runs serially only. *)
+
 val transpose_barriers :
   ?split:split ->
   ?width:int ->
@@ -91,10 +96,9 @@ val transpose_barriers :
   barrier list
 (** The barrier sequence the engine's parallel driver executes for an
     [m x n] transpose on [lanes] workers: row/column chunking for
-    [Functor]/[Decomposed] ([Par_transpose]),
-    width-aligned panel-group chunking for [Cache] and staging-width
-    group chunking for [Fused]
-    ([Par_cache_aware] / [Fused_f64] pool drivers). *)
+    [Functor]/[Decomposed] ([Par_transpose]), staging-width group
+    chunking for [Fused] ([Fused_f64]'s pool driver).
+    @raise Invalid_argument for [Cache], which has no pool driver. *)
 
 val batch_barriers :
   ?split:split ->

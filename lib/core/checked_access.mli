@@ -43,4 +43,4 @@ val distinct : who:string -> what:string -> 'a -> 'a -> unit
 module F64 : Storage.S with type t = Storage.Float64.t and type elt = float
 (** {!Storage.Float64} with every [get]/[set]/[blit] access checked: the
     storage to instantiate the element-generic engines ([Algo.Make],
-    [Fused.Make], ...) with for a fully checked run. *)
+    [Cache_aware.Make], ...) with for a fully checked run. *)

@@ -137,8 +137,11 @@ module Phases = struct
   (* Write the shuffled row in [tmp.(0..n-1)] back over row [i]. An
      explicit loop rather than [blit (sub tmp 0 n) (sub buf base n)]:
      the two [sub] views are heap allocations per row, which a batched
-     caller pays m times per matrix; the loop allocates nothing and
-     vectorizes just as well. *)
+     caller pays m times per matrix, and the loop allocates nothing. It
+     is not free: compiled without flambda it costs about 16
+     instructions per element, and a row round trip through it ran
+     3.0-3.7x slower than memmove on 3420-element rows (2 vCPU AVX-512
+     Xeon, OCaml 5.1.1). *)
   let writeback_row (buf : buf) ~(tmp : buf) ~base ~n =
     for j = 0 to n - 1 do
       unsafe_set buf (base + j) (unsafe_get tmp j)

@@ -8,21 +8,20 @@
       whole column groups by a shared amount, performed by cycle following
       on sub-rows (the cycles of a rotation are analytic, so no cycle
       storage is needed), then a fine blocked pass fixing each column's
-      bounded residual rotation using an on-chip-sized block buffer;
+      bounded residual rotation through a block buffer of 64-row strips;
     - {b row permutation} (§4.7) discovers the cycles of the permutation
       once (they are shared by all columns, at most [m/2] nontrivial
       cycles), then follows them moving sub-rows.
 
     Both are drop-in replacements for the corresponding
-    [Xpose_core.Algo.Make(S).Phases] passes over the full index range.
+    [Xpose_core.Algo.Make(S).Phases] passes over a column range.
 
-    The panel primitives are shared with (and implemented by)
-    {!Xpose_cpu.Fused}; this module keeps the historical sweep-at-a-time
-    interface — each sweep streams the matrix once. Callers wanting one
-    panel residency for the whole column phase should use
-    [Fused.Make(S).c2r_cols]/[r2c_cols] (or the {!Xpose_cpu.Fused_f64}
-    engine) instead. Scratch buffers come from an optional
-    {!Xpose_core.Workspace}; when omitted, each call allocates its own. *)
+    This functor is the element-generic paper reference: each sweep
+    streams the matrix once and emits one "panel" span per column group.
+    The float64 serving engine, {!Xpose_cpu.Fused_f64}, runs each column
+    pass as one stage-and-gather sweep instead. Scratch buffers come from
+    an optional {!Xpose_core.Workspace}; when omitted, each call
+    allocates its own. *)
 
 module Make (S : Xpose_core.Storage.S) : sig
   module Ws : module type of Xpose_core.Workspace.Make (S)
@@ -35,7 +34,6 @@ module Make (S : Xpose_core.Storage.S) : sig
 
   val rotate_columns :
     ?width:int ->
-    ?block_rows:int ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -51,7 +49,8 @@ module Make (S : Xpose_core.Storage.S) : sig
       stay in [[0, width)] for monotone amount functions (both [j/b] and
       [j] families from the paper); groups whose residuals cannot be
       bounded fall back to per-column rotation, so any [amount] is
-      correct. *)
+      correct.
+      @raise Invalid_argument on a bad column range. *)
 
   val permute_rows :
     ?width:int ->
@@ -74,9 +73,23 @@ module Make (S : Xpose_core.Storage.S) : sig
       operation (the decomposed §4.1 form); the paper's GPU implementation
       structure (§5.2) on a CPU. Line/head/block scratch is allocated once
       per call (or taken from [ws]); [tmp] holds the Theorem-6 row
-      scratch as before. *)
+      scratch. *)
 
   val r2c :
     ?width:int -> ?ws:Ws.t -> Xpose_core.Plan.t -> buf -> tmp:buf -> unit
   (** Inverse of {!c2r}. *)
+end
+
+(** Symbolic access summaries of the panel primitives (free basis:
+    m, n >= 1; parameters w in [1, n], lo in [0, n - w], and the fine
+    phase's block_rows >= 1 and maxres in [1, min(w, m) - 1]), shared
+    by every [Make] instantiation. The cycle-following phases are
+    proven supersets; [fine] keeps the head-wrap reads precise. *)
+module Summary : sig
+  val coarse : Xpose_core.Access.summary
+  val fine : Xpose_core.Access.summary
+  val permute : Xpose_core.Access.summary
+
+  val panel_passes : Xpose_core.Access.summary list
+  (** [[coarse; fine; permute]]. *)
 end

@@ -1,7 +1,7 @@
 let time_ns f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Xpose_obs.Clock.now_ns () in
   f ();
-  (Unix.gettimeofday () -. t0) *. 1e9
+  Xpose_obs.Clock.now_ns () -. t0
 
 let best_of_samples ?(repeats = 3) f =
   let samples = Array.init (max 1 repeats) (fun _ -> time_ns f) in

@@ -1,8 +1,8 @@
-(** Wall-clock measurement and the paper's throughput definition. *)
+(** Elapsed-time measurement and the paper's throughput definition. *)
 
 val time_ns : (unit -> unit) -> float
-(** One timed run, read off [Unix.gettimeofday] (wall clock, not
-    monotonic). *)
+(** One timed run in nanoseconds, read off {!Xpose_obs.Clock.now_ns}
+    (the monotonic clock unless a caller installed another source). *)
 
 val best_of : ?repeats:int -> (unit -> unit) -> float
 (** Minimum time over [repeats] runs (default 3) — the standard way to

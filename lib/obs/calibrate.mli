@@ -21,9 +21,8 @@
     achieved GB/s computed from a pass's touch count is directly
     comparable against these roofs.
 
-    Timing uses {!Clock.now_ns}: install a wall clock first (the CLI
-    and bench driver do) — the [Sys.time] default measures CPU
-    seconds and would distort the roofs.
+    Timing uses {!Clock.now_ns}, the monotonic clock unless a caller
+    installed another source.
 
     A calibration is a plain record; {!save}/{!load} persist it to a
     small JSON file that survives {!load} → {!to_json} byte-identically
@@ -58,8 +57,8 @@ val default_elems : int
 val default_repeats : int
 
 val default_panel_width : int
-(** 16 — [Xpose_cpu.Fused.default_width]'s value (kept in sync by a
-    unit test; this library cannot depend on the cpu layer). *)
+(** 16 — [Xpose_cpu.Fused_f64.default_width]'s value, copied because
+    this library cannot depend on the cpu layer. *)
 
 val run : ?elems:int -> ?repeats:int -> ?panel_width:int -> unit -> t
 (** Measure all four roofs plus the clock probe, best-of-[repeats]

@@ -1,25 +1,9 @@
-let default_now_ns () = Sys.time () *. 1e9
+let default_now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let source = Atomic.make default_now_ns
 
-let installed = Atomic.make false
+let install f = Atomic.set source f
 
-let install f =
-  Atomic.set source f;
-  Atomic.set installed true
-
-(* The claim-then-publish order matters: exactly one caller wins the CAS
-   on [installed], so two servers starting concurrently cannot both
-   install (the loser sees [installed] and leaves the winner's source
-   alone). Between the winner's CAS and its [source] store a reader gets
-   the previous source — the default, which is what "unset" meant. *)
-let install_if_unset f =
-  if Atomic.compare_and_set installed false true then Atomic.set source f
-
-let is_installed () = Atomic.get installed
-
-let reset () =
-  Atomic.set source default_now_ns;
-  Atomic.set installed false
+let reset () = Atomic.set source default_now_ns
 
 let now_ns () = (Atomic.get source) ()

@@ -1,12 +1,12 @@
-(** The tracer's time source.
+(** The tracer's time source, and every timer in the repository.
 
-    [Xpose_obs] links against the OCaml standard library only, which has
-    no wall clock, so the clock is injectable: the default source is
-    [Sys.time] (process CPU seconds — monotone but coarse and wrong for
-    parallel spans), and any layer that links [unix] installs a real wall
-    clock once at startup ([xpose_cli], the bench driver, and the harness
-    all install [Unix.gettimeofday]). Installation is idempotent and
-    safe from any domain. *)
+    The default source is bechamel's [Monotonic_clock]
+    ([CLOCK_MONOTONIC]): real elapsed time that never steps backwards,
+    safe to read from any domain. Every layer reads it through
+    {!now_ns}, so spans, histograms, benchmark timers and the server's
+    coalesce deadlines share one clock. The source stays injectable for
+    a caller that wants its own (perfbench installs the same monotonic
+    clock before any library call; a test may install a constant). *)
 
 val now_ns : unit -> float
 (** Current time in nanoseconds from the installed source. Only
@@ -16,23 +16,9 @@ val install : (unit -> float) -> unit
 (** [install f] makes [f] the time source. [f] must return nanoseconds
     and be safe to call from any domain. *)
 
-val install_if_unset : (unit -> float) -> unit
-(** Like {!install}, but a no-op if any source was already installed.
-    For library code (e.g. the job server) that needs {e a} wall clock
-    but must not clobber one the embedding application or a
-    deterministic test chose. Linearizable under concurrent callers: a
-    compare-and-set claims the installed flag, so exactly one of N
-    racing installers wins and the source never flip-flops. *)
-
-val is_installed : unit -> bool
-(** Whether any source has been installed (by {!install} or a winning
-    {!install_if_unset}) since startup or the last {!reset}. *)
-
 val reset : unit -> unit
-(** Back to the default source with the installed flag cleared — for
-    tests that exercise {!install_if_unset} semantics. Not for
-    production code: a reset under concurrent tracing tears timestamps
-    between epochs. *)
+(** Back to the default source — for tests. Not for production code: a
+    reset under concurrent tracing tears timestamps between epochs. *)
 
 val default_now_ns : unit -> float
-(** The fallback source: [Sys.time () *. 1e9]. *)
+(** The default source: [Monotonic_clock.now ()] in nanoseconds. *)

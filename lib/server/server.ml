@@ -580,10 +580,6 @@ let start cfg =
     invalid_arg "Server.start: write_timeout_s must be >= 0";
   if not (cfg.metrics_interval_s > 0.0) then
     invalid_arg "Server.start: metrics_interval_s must be > 0";
-  (* Coalesce deadlines and latency need a wall clock, but an embedding
-     application (or a deterministic-clock test) may have installed its
-     own source — only fill in the default when nothing has. *)
-  Xpose_obs.Clock.install_if_unset (fun () -> Unix.gettimeofday () *. 1e9);
   (* A peer that vanishes mid-reply must surface as EPIPE on the write,
      not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

@@ -1,14 +1,12 @@
-(* The pass-fused engines (generic functor and float64 fast path) must be
-   behaviourally identical to the element-generic Algo oracle: fusing the
-   column rotation and row permutation into one panel visit is a pure
-   locality transformation. *)
+(* The float64 engine must be behaviourally identical to the
+   element-generic Algo oracle: fusing the column rotation and row
+   permutation into one stage-and-gather pass is a pure locality
+   transformation. *)
 
 open Xpose_core
 open Xpose_cpu
 module S = Storage.Float64
 module A = Instances.F64
-module FI = Fused.Make (Storage.Int_elt)
-module AI = Instances.I
 
 (* XPOSE_CHECKED=1 reruns this suite through the checked-access shadow
    engine: identical semantics, every access bounds-verified. *)
@@ -104,37 +102,6 @@ let prop_r2c_inverts =
       F.c2r ~panel_width:width p buf;
       F.r2c ~panel_width:width p buf;
       buf_to_list buf = List.init (m * n) float_of_int)
-
-let test_generic_fused_matches_oracle () =
-  (* The functorized twin over int storage, exercising fused visits,
-     unfused sweeps, and the full engine. *)
-  let module SI = Storage.Int_elt in
-  let iota len =
-    let buf = SI.create len in
-    Storage.fill_iota (module SI) buf;
-    buf
-  in
-  let to_list buf = List.init (SI.length buf) (SI.get buf) in
-  List.iter
-    (fun (m, n) ->
-      let p = Plan.make ~m ~n in
-      let expected =
-        let buf = iota (m * n) in
-        let tmp = SI.create (Plan.scratch_elements p) in
-        AI.c2r p buf ~tmp;
-        to_list buf
-      in
-      let buf = iota (m * n) in
-      FI.c2r p buf;
-      Alcotest.(check (list int))
-        (Printf.sprintf "generic fused c2r %dx%d" m n)
-        expected (to_list buf);
-      FI.r2c p buf;
-      Alcotest.(check (list int))
-        "generic fused r2c inverts"
-        (List.init (m * n) Fun.id)
-        (to_list buf))
-    shapes
 
 let test_cols_match_sweeps () =
   (* The staged column pass over any sub-range equals the functor's two
@@ -426,8 +393,6 @@ let tests =
       test_c2r_matches_oracle;
     Alcotest.test_case "workspace reuse across shapes" `Quick
       test_workspace_reuse_across_shapes;
-    Alcotest.test_case "generic fused functor vs oracle" `Quick
-      test_generic_fused_matches_oracle;
     Alcotest.test_case "fused visit = two sweeps" `Quick test_cols_match_sweeps;
     Alcotest.test_case "transpose routing + plan cache" `Quick
       test_transpose_routes_and_caches;

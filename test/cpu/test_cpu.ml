@@ -6,6 +6,5 @@ let () =
       ("cache_aware", Suite_cache_aware.tests);
       ("fused", Suite_fused.tests);
       ("f64_kernels", Suite_f64.tests);
-      ("par_cache_aware", Suite_par_cache_aware.tests);
       ("skinny", Suite_skinny.tests);
     ]

@@ -1,7 +1,4 @@
 let () =
-  (* the stdlib default clock is CPU time; tests want wall time so span
-     durations are meaningful under a sleeping pool *)
-  Xpose_obs.Clock.install (fun () -> Unix.gettimeofday () *. 1e9);
   Alcotest.run "xpose_obs"
     [
       ("metrics", Suite_metrics.tests);
@@ -10,7 +7,6 @@ let () =
       ("exposition", Suite_exposition.tests);
       ("calibrate", Suite_calibrate.tests);
       ("diff", Suite_diff.tests);
-      (* last: these tests reset the process-global clock and the other
-         suites depend on the wall clock installed above *)
+      (* last: it resets the process-global clock *)
       ("clock", Suite_clock.tests);
     ]
