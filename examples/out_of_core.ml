@@ -22,9 +22,9 @@ let () =
         path;
 
       let ws = Xpose_core.Workspace.F64.create () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Xpose_obs.Clock.now_ns () in
       Xpose_mmap.File_matrix.transpose_file ~ws ~path ~m ~n ();
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = (Xpose_obs.Clock.now_ns () -. t0) /. 1e9 in
       Printf.printf "transposed in place in the file in %.1f ms using %d \
                      doubles of RAM scratch\n"
         (dt *. 1e3)

@@ -51,9 +51,9 @@ let () =
   let big = Storage.Float64.create (m * n) in
   Storage.fill_iota (module Storage.Float64) big;
   let ws = Workspace.F64.create () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Xpose_obs.Clock.now_ns () in
   Kernels_f64.transpose ~ws ~m ~n big;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = (Xpose_obs.Clock.now_ns () -. t0) /. 1e9 in
   Printf.printf
     "\n%d x %d float64 transposed in place in %.1f ms (%.2f GB/s), using \
      only a %d-element scratch\n"

@@ -37,9 +37,9 @@ let () =
   done;
 
   (* Interleaved -> planar: transpose the pixels x channels matrix. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Xpose_obs.Clock.now_ns () in
   A.transpose ~m:pixels ~n:channels img;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = (Xpose_obs.Clock.now_ns () -. t0) /. 1e9 in
 
   (* Planar: channel c occupies [c * pixels, (c+1) * pixels). *)
   let ok = ref true in
